@@ -140,7 +140,6 @@ def _sweep_config(args, kind: str) -> SweepConfig:
             steps=int(_config_value(args, config, "steps", 181)),
             eta=_maybe_float(_config_value(args, config, "eta", None)),
             zeta=_maybe_float(_config_value(args, config, "zeta", None)),
-            seed=int(_config_value(args, config, "seed", 0)),
             out=_config_value(args, config, "out", None),
         )
     return SweepConfig(
@@ -148,7 +147,6 @@ def _sweep_config(args, kind: str) -> SweepConfig:
         start=float(_config_value(args, config, "start", 0.0)),
         stop=float(_config_value(args, config, "stop", 1.0)),
         steps=int(_config_value(args, config, "steps", 101)),
-        seed=int(_config_value(args, config, "seed", 0)),
         out=_config_value(args, config, "out", None),
     )
 
@@ -225,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--config", help="JSON file with default settings")
     p.set_defaults(func=cmd_sweep_theta)
@@ -234,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--config", help="JSON file with default settings")
     p.set_defaults(func=cmd_sweep_damping)

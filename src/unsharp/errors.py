@@ -5,6 +5,10 @@ class ValidationError(ValueError):
     """An operator, vector or POVM fails a structural invariant."""
 
 
+class NotFinite(ValidationError):
+    """Array holds a NaN or infinite entry."""
+
+
 class NotHermitian(ValidationError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -36,10 +37,33 @@ def _as_square_matrix(m) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation |m - m^dagger|."""
-    m = _as_square_matrix(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+def require_finite(a, what: str) -> np.ndarray:
+    """Return a unchanged, raising NotFinite if any entry is NaN or infinite.
+
+    Every tolerance check compares with < or >, which NaN always fails, so
+    finiteness is checked first.
+    """
+    if not np.all(np.isfinite(a)):
+        raise NotFinite(f"{what} has a NaN or infinite entry")
+    return a
+
+
+def prob_tol(d: int) -> float:
+    """Slack of the outcome probabilities of a validated state and POVM.
+
+    Validation passes both with entrywise Hermiticity defects up to
+    TOL_HERMITIAN and eigenvalues down to -TOL_PSD (effects also up to
+    1 + TOL_PSD); the state has a trace within TOL_TRACE of 1 and the effects
+    an entrywise completeness residual up to TOL_RECONSTRUCT. Their Hermitian
+    parts are then positive to within e = TOL_PSD + d * TOL_HERMITIAN, and
+    the state has trace norm at most t = 1 + TOL_TRACE + 2 d e. So each
+    Tr[rho A] lies within TOL_TRACE + (d + 1) e t of [0, 1], and the
+    probabilities sum to within TOL_TRACE + d * TOL_RECONSTRUCT * t of 1.
+    Twice the larger bound covers both, plus rounding.
+    """
+    e = TOL_PSD + d * TOL_HERMITIAN
+    trace_norm = 1.0 + TOL_TRACE + 2.0 * d * e
+    return 2.0 * (TOL_TRACE + trace_norm * max((d + 1) * e, d * TOL_RECONSTRUCT))
 
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN) -> np.ndarray:
@@ -57,7 +81,7 @@ def require_unit_vector(v, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise NotNormalized(f"vector norm is {norm:.12f}, expected 1 within {tol:.1e}")
     return v
 
@@ -72,7 +96,7 @@ def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
         raise ValueError(f"expected d vectors of length d, got shape {basis.shape}")
     gram = basis.conj() @ basis.T
     defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-    if defect > tol:
+    if not defect <= tol:
         raise NotOrthonormal(f"max Gram-matrix deviation from identity is {defect:.3e} > {tol:.1e}")
     return basis
 
@@ -153,15 +177,12 @@ class DensityMatrix:
 
 
 def validate_density(m) -> DensityMatrix:
-    """Check Hermiticity, positivity and unit trace, then wrap.
+    """Check finiteness, Hermiticity, positivity and unit trace, then wrap.
 
-    Raises NotHermitian, NotPositive or TraceNotOne naming the violated
-    invariant together with the measured violation.
+    Raises NotFinite, NotHermitian, NotPositive or TraceNotOne naming the
+    violated invariant together with the measured violation.
     """
-    m = _as_square_matrix(m)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > TOL_HERMITIAN:
-        raise NotHermitian(f"max |m - m^dagger| entry is {defect:.3e} > {TOL_HERMITIAN:.1e}")
+    m = require_hermitian(require_finite(_as_square_matrix(m), "density matrix"))
     lowest = float(np.min(np.linalg.eigvalsh(m)))
     if lowest < -TOL_PSD:
         raise NotPositive(f"lowest eigenvalue is {lowest:.3e} < -{TOL_PSD:.1e}")

@@ -24,6 +24,7 @@ from .linalg import (
     SpectralDecomposition,
     _frozen,
     hermitian_eig,
+    require_finite,
     require_orthonormal,
 )
 
@@ -50,6 +51,7 @@ class Povm:
             raise ValueError(f"expected an (n, d, d) effect array, got shape {effects.shape}")
         if effects.shape[0] == 0:
             raise ValueError("a POVM needs at least one effect")
+        require_finite(effects, "POVM effect array")
         d = effects.shape[1]
         spectra = []
         for i, effect in enumerate(effects):

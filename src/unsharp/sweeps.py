@@ -14,12 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
+from .linalg import _frozen
+from .povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
 
 CROSSOVER_TOL = 1e-4
+
+# Fixed measurement bases: sigma_z for the angle sweep, the d=3 Fourier pair
+# for the damping sweep.
+_Z_BASIS = _frozen(np.eye(2, dtype=complex))
+_FOURIER_3 = tuple(_frozen(basis) for basis in mub_fourier_basis(3))
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,6 @@ class SweepConfig:
     steps: int
     eta: float | None = None
     zeta: float | None = None
-    seed: int = 0
     out: str | None = None
 
     def __post_init__(self):
@@ -66,7 +71,6 @@ class SweepConfig:
             f"stop={self.stop!r}",
             f"steps={self.steps}",
             f"dim={self.dim}",
-            f"seed={self.seed}",
         ]
         if self.kind == "theta":
             lines.insert(4, f"eta={self.eta!r}")
@@ -136,31 +140,66 @@ def find_crossings(xs: np.ndarray, values: np.ndarray, diff, tol: float = CROSSO
     return tuple(dict.fromkeys(found))
 
 
-def theta_row(theta: float, eta: float, zeta: float) -> tuple[float, ...]:
-    """One angle-sweep grid row in THETA_COLUMNS order."""
+@dataclass(frozen=True)
+class _SpinPair:
+    """Angle-independent parts of the angle sweep for noise levels (eta, zeta).
+
+    Holds the noisy sigma_z measurement and the closed-form white-noise
+    device uncertainties, so that a sweep builds them once, not per row.
+    """
+
+    eta: float
+    zeta: float
+    pb: Povm
+    d_eta: float
+    d_zeta: float
+
+    @classmethod
+    def of(cls, eta: float, zeta: float) -> "_SpinPair":
+        return cls(
+            eta=eta,
+            zeta=zeta,
+            pb=white_noise_povm(_Z_BASIS, zeta),
+            d_eta=bounds.device_uncertainty_white_noise(eta, 2),
+            d_zeta=bounds.device_uncertainty_white_noise(zeta, 2),
+        )
+
+    @property
+    def d_wn(self) -> float:
+        return self.d_eta + self.d_zeta
+
+    def b1(self, mu: float) -> float:
+        return mu + min(self.d_eta, self.d_zeta)
+
+    def log_c(self, basis_a) -> float:
+        return bounds.coles_bound(white_noise_povm(basis_a, self.eta), self.pb)
+
+    def b1_b2_qw(self, mv: bounds.MajorizationVector) -> tuple[float, float, float]:
+        qw, b2 = bounds._qw_b2(mv, min(self.eta, self.zeta), self.d_wn)
+        return self.b1(bounds._mu_from_majorization(mv)), b2, qw
+
+
+def theta_row(theta: float, eta: float, zeta: float, *, pair: _SpinPair | None = None) -> tuple[float, ...]:
+    """One angle-sweep grid row in THETA_COLUMNS order.
+
+    ``pair`` carries the angle-independent terms for (eta, zeta) when the
+    caller has already built them.
+    """
+    pair = pair if pair is not None else _SpinPair.of(eta, zeta)
     basis_a = spin_basis(theta)
-    basis_b = np.eye(2, dtype=complex)
-    pa = white_noise_povm(basis_a, eta)
-    pb = white_noise_povm(basis_b, zeta)
-    mv = bounds.majorization_vector(basis_a, basis_b)
-    qw, b2 = bounds.qw_b2_bound(basis_a, eta, basis_b, zeta)
-    d_wn = bounds.device_uncertainty_white_noise(eta, 2) + bounds.device_uncertainty_white_noise(zeta, 2)
-    return (
-        theta,
-        bounds.b1_bound(basis_a, eta, basis_b, zeta),
-        b2,
-        bounds.coles_bound(pa, pb),
-        d_wn,
-        bounds.hw_bound(mv),
-        qw,
-    )
+    mv = bounds.majorization_vector(basis_a, _Z_BASIS)
+    b1, b2, qw = pair.b1_b2_qw(mv)
+    return (theta, b1, b2, pair.log_c(basis_a), pair.d_wn, bounds.hw_bound(mv), qw)
+
+
+def _damping_pair(e: float) -> tuple[Povm, Povm]:
+    basis_x, basis_z = _FOURIER_3
+    return amplitude_damping_povm(basis_x, e), amplitude_damping_povm(basis_z, e)
 
 
 def damping_row(e: float) -> tuple[float, ...]:
     """One damping-sweep grid row in DAMPING_COLUMNS order."""
-    basis_x, basis_z = mub_fourier_basis(3)
-    pa = amplitude_damping_povm(basis_x, e)
-    pb = amplitude_damping_povm(basis_z, e)
+    pa, pb = _damping_pair(e)
     return (
         e,
         bounds.coles_bound(pa, pb),
@@ -173,28 +212,30 @@ def theta_sweep(config: SweepConfig) -> SweepResult:
     """Angle sweep of B1, B2, -log2 C, D_WN, H(W) and Q(W).
 
     Detects where B2 overtakes B1, and where the total device uncertainty
-    overtakes -log2 C and B1.
+    overtakes -log2 C and B1. Bisection evaluates only the two compared
+    columns.
     """
     if config.kind != "theta":
         raise ValueError("theta_sweep needs a config of kind 'theta'")
-    eta, zeta = config.eta, config.zeta
+    pair = _SpinPair.of(config.eta, config.zeta)
     grid = config.grid()
-    rows = tuple(theta_row(theta, eta, zeta) for theta in grid)
+    rows = tuple(theta_row(theta, pair.eta, pair.zeta, pair=pair) for theta in grid)
     by_name = {name: np.array([row[i] for row in rows]) for i, name in enumerate(THETA_COLUMNS)}
 
-    def diff_of(first, second):
-        idx1, idx2 = THETA_COLUMNS.index(first), THETA_COLUMNS.index(second)
+    def b2_minus_b1(theta):
+        b1, b2, _ = pair.b1_b2_qw(bounds.majorization_vector(spin_basis(theta), _Z_BASIS))
+        return b2 - b1
 
-        def diff(theta):
-            row = theta_row(theta, eta, zeta)
-            return row[idx1] - row[idx2]
+    def d_wn_minus_log_c(theta):
+        return pair.d_wn - pair.log_c(spin_basis(theta))
 
-        return diff
+    def d_wn_minus_b1(theta):
+        return pair.d_wn - pair.b1(bounds.mu_bound(spin_basis(theta), _Z_BASIS))
 
     crossovers = {
-        "B2-B1": find_crossings(grid, by_name["B2"] - by_name["B1"], diff_of("B2", "B1")),
-        "D_WN-logC": find_crossings(grid, by_name["D_WN"] - by_name["logC"], diff_of("D_WN", "logC")),
-        "D_WN-B1": find_crossings(grid, by_name["D_WN"] - by_name["B1"], diff_of("D_WN", "B1")),
+        "B2-B1": find_crossings(grid, by_name["B2"] - by_name["B1"], b2_minus_b1),
+        "D_WN-logC": find_crossings(grid, by_name["D_WN"] - by_name["logC"], d_wn_minus_log_c),
+        "D_WN-B1": find_crossings(grid, by_name["D_WN"] - by_name["B1"], d_wn_minus_b1),
     }
     return SweepResult(columns=THETA_COLUMNS, rows=rows, crossovers=crossovers, config=config)
 
@@ -213,8 +254,8 @@ def damping_sweep(config: SweepConfig) -> SweepResult:
     log_c = np.array([row[1] for row in rows])
 
     def diff(e):
-        row = damping_row(e)
-        return row[3] - row[1]
+        pa, pb = _damping_pair(e)
+        return bounds.min_pair_device_bound(pa, pb) - bounds.coles_bound(pa, pb)
 
     crossovers = {"D_AD-logC": find_crossings(grid, d_ad - log_c, diff)}
     return SweepResult(columns=DAMPING_COLUMNS, rows=rows, crossovers=crossovers, config=config)

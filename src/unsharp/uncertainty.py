@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PSD, require_unit_vector
+from .linalg import TOL_PSD, prob_tol, require_unit_vector
 from .povm import Povm, QubitPovmParams
 
 
@@ -25,27 +25,33 @@ def _state_matrix(rho) -> np.ndarray:
 
 
 def outcome_probs(rho, povm: Povm) -> np.ndarray:
-    """Outcome distribution p_i = Tr[rho A_i], clamped to [0, 1]."""
+    """Outcome distribution p_i = Tr[rho A_i], clamped at 0 and renormalized.
+
+    The raw values must lie within ``prob_tol(d)`` of [0, 1] and sum to
+    within ``prob_tol(d)`` of 1, which every validated state and POVM meet;
+    the result is then a distribution that ``shannon_entropy`` accepts.
+    """
     rho = _state_matrix(rho)
     if rho.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"state shape {rho.shape} does not match POVM dim {povm.dim}")
     probs = np.einsum("ij,nji->n", rho, povm.effects).real
-    if probs.min() < -TOL_PSD or probs.max() > 1.0 + TOL_PSD:
+    tol = prob_tol(povm.dim)
+    if not (probs.min() >= -tol and probs.max() <= 1.0 + tol):
         raise ValueError(f"outcome probabilities outside [0, 1]: {probs}")
-    probs = np.clip(probs, 0.0, 1.0)
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"outcome probabilities sum to {total:.12f}, expected 1")
-    return probs
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 def shannon_entropy(probs) -> float:
     """H = -sum_i p_i log2 p_i of a probability distribution, in bits."""
     p = np.asarray(probs, dtype=float)
-    if p.min() < -TOL_PSD:
+    if not p.min() >= -TOL_PSD:
         raise ValueError(f"negative probability {p.min():.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"probabilities sum to {total:.10f}, expected 1")
     return float(np.sum(entropy_term(np.clip(p, 0.0, 1.0))))
 
@@ -136,8 +142,13 @@ def f_white_noise(p: float, alpha: float, d: int) -> float:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    return float(_white_noise_kernel(p, alpha, d))
+
+
+def _white_noise_kernel(p, alpha: float, d: int):
+    """f(p, alpha) of ``f_white_noise``, elementwise over an array p, unchecked."""
     alpha_d = (1.0 - alpha) / d
-    return float(
+    return (
         entropy_term(alpha * p + alpha_d)
         - p * entropy_term(alpha + alpha_d)
         - (1.0 - p) * entropy_term(alpha_d)

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from unsharp import bounds
 from unsharp.bounds import (
     ad_coles_closed_form,
     b1_bound,
@@ -432,3 +435,84 @@ class TestPairBoundReport:
         a, b = ad_pair(0.2)
         payload = json.dumps(pair_bound_report(a, b).to_dict())
         assert "minD_pair" in json.loads(payload)["values"]
+
+
+def sandwiched_max_loop(core, wrap):
+    """Per-effect oracle: max_i || sum_j W_j C_i W_j ||, one eigensolve per i."""
+    best = 0.0
+    for effect in core.effects:
+        s = sum(w @ effect @ w for w in wrap.effects)
+        s = (s + s.conj().T) / 2.0
+        best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(s)))))
+    return best
+
+
+def majorization_w_enumerated(basis_a, basis_b):
+    """Brute-force oracle: the top eigenvalue of every projector-subset sum."""
+    d = basis_a.shape[0]
+    proj_a = [np.outer(v, v.conj()) for v in basis_a]
+    proj_b = [np.outer(v, v.conj()) for v in basis_b]
+    w = np.zeros(d)
+    for k in range(1, d + 1):
+        for r_size in range(max(0, k + 1 - d), min(d, k + 1) + 1):
+            for r_set in combinations(range(d), r_size):
+                for s_set in combinations(range(d), k + 1 - r_size):
+                    total = sum((proj_a[i] for i in r_set), np.zeros((d, d), complex))
+                    total = total + sum((proj_b[j] for j in s_set), np.zeros((d, d), complex))
+                    w[k - 1] = max(w[k - 1], float(np.linalg.eigvalsh(total)[-1]))
+    return w
+
+
+class TestAgainstOracles:
+    def test_majorization_matches_enumeration(self):
+        rng = np.random.default_rng(41)
+        pairs = [(np.eye(3), np.eye(3)), mub_fourier_basis(3), mub_fourier_basis(4)]
+        for d in range(2, 7):
+            for _ in range(3 if d < 6 else 1):
+                pairs.append((random_basis(d, rng), random_basis(d, rng)))
+        for basis_a, basis_b in pairs:
+            mv = majorization_vector(basis_a, basis_b)
+            np.testing.assert_allclose(mv.w, majorization_w_enumerated(basis_a, basis_b), rtol=0, atol=1e-12)
+
+    def test_stacked_sandwich_matches_loop(self):
+        rng = np.random.default_rng(42)
+        for d in (2, 3, 4):
+            for _ in range(10):
+                a = random_povm(d, int(rng.integers(2, d + 3)), rng)
+                b = random_povm(d, int(rng.integers(2, d + 3)), rng)
+                for core, wrap in ((a, b), (b, a)):
+                    assert bounds._sandwiched_max(core, wrap) == pytest.approx(
+                        sandwiched_max_loop(core, wrap), rel=0, abs=1e-14
+                    )
+
+
+class TestPairQuantitiesOnce:
+    @pytest.fixture
+    def mv_calls(self, monkeypatch):
+        calls = []
+        real = bounds.majorization_vector
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "majorization_vector", counting)
+        return calls
+
+    def test_projective_pair_report(self, mv_calls):
+        rng = np.random.default_rng(43)
+        for d in (2, 3, 5):
+            a = projective_from_basis(random_basis(d, rng))
+            b = projective_from_basis(random_basis(d, rng))
+            mv_calls.clear()
+            report = pair_bound_report(a, b, random_mixed_state(d, rng))
+            assert len(mv_calls) == 1
+            assert report.values["mu"] == pytest.approx(mu_bound(*mv_calls[0]), abs=1e-12)
+            assert report.values["B1"] == pytest.approx(b1_bound(mv_calls[0][0], 1.0, mv_calls[0][1], 1.0), abs=1e-12)
+            qw, b2 = qw_b2_bound(mv_calls[0][0], 1.0, mv_calls[0][1], 1.0)
+            assert (report.values["QW"], report.values["B2"]) == pytest.approx((qw, b2), abs=1e-12)
+
+    def test_non_projective_pair_report(self, mv_calls):
+        a, b = ad_pair(0.3)
+        pair_bound_report(a, b)
+        assert mv_calls == []

@@ -16,6 +16,10 @@ def files(tmp_path):
         path.write_text(json.dumps(payload))
         return str(path)
 
+    def encode(m):
+        m = np.asarray(m, dtype=complex)
+        return np.stack([m.real, m.imag], axis=-1).tolist()
+
     basis_x, basis_z = mub_fourier_basis(2)
     return {
         "pvm_x": write("pvm_x.json", povm_to_json(projective_from_basis(basis_x))),
@@ -31,6 +35,13 @@ def files(tmp_path):
         ),
         "mixed": write("mixed.json", state_to_json(DensityMatrix(np.eye(2) / 2))),
         "ground": write("ground.json", {"dim": 2, "vector": [[1.0, 0.0], [0.0, 0.0]]}),
+        # json.dumps writes NaN, which json.load reads back.
+        "nan_povm": write(
+            "nan_povm.json",
+            {"dim": 2, "effects": [encode([[1.0, np.nan], [np.nan, 0.0]]), encode(np.diag([0.0, 1.0]))]},
+        ),
+        # Completeness residual 5e-9 < TOL_RECONSTRUCT: accepted, probabilities sum to 1 - 2.5e-9.
+        "near": write("near.json", povm_to_json(make_povm([np.diag([1.0 - 5e-9, 0.0]), np.diag([0.0, 1.0])]))),
         "tmp": tmp_path,
     }
 
@@ -55,6 +66,11 @@ class TestValidate:
         assert main(["validate", files["bad_povm"], "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "CompletenessViolated"
+
+    def test_nan_entry_exits_one_with_strict_json(self, files, capsys):
+        assert main(["validate", files["nan_povm"], "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert payload["error"] == "NotFinite"
 
     def test_json_success_output(self, files, capsys):
         assert main(["validate", files["wn_half"], "--json"]) == 0
@@ -95,6 +111,13 @@ class TestAnalyze:
         path.write_text(json.dumps(povm_to_json(projective_from_basis(basis_x3))))
         assert main(["analyze", str(path), "--state", files["mixed"]]) == 1
 
+    @pytest.mark.parametrize("state", ["mixed", "ground"])
+    def test_accepted_near_tolerance_povm(self, files, capsys, state):
+        assert main(["analyze", files["near"], "--state", files[state]]) == 0
+        row = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert all(np.isfinite(row[key]) for key in ("H", "D", "Q", "krishna", "minD"))
+        assert row["Q"] == pytest.approx(row["H"] - row["D"], abs=1e-12)
+
 
 class TestBounds:
     def test_pvm_pair_report(self, files, capsys):
@@ -112,6 +135,15 @@ class TestBounds:
         path = files["tmp"] / "pvm3.json"
         path.write_text(json.dumps(povm_to_json(projective_from_basis(basis_x3))))
         assert main(["bounds", files["pvm_x"], str(path)]) == 1
+
+    def test_nan_entry_exits_one(self, files, capsys):
+        assert main(["bounds", files["nan_povm"], files["pvm_z"]]) == 1
+        assert json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["error"] == "NotFinite"
+
+    def test_accepted_near_tolerance_povm(self, files, capsys):
+        assert main(["bounds", files["near"], files["pvm_z"], "--state", files["mixed"]]) == 0
+        values = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["values"]
+        assert all(np.isfinite(list(values.values())))
 
 
 class TestSweepTheta:
@@ -143,6 +175,12 @@ class TestSweepTheta:
     def test_missing_noise_params_exit_two(self, files):
         out = files["tmp"] / "e.csv"
         assert main(["sweep-theta", "--steps", "5", "--out", str(out)]) == 2
+
+    def test_seed_flag_removed(self, files, capsys):
+        out = files["tmp"] / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-theta", "--eta", "1", "--zeta", "1", "--seed", "3", "--out", str(out)])
+        assert exc.value.code == 2
 
     def test_bad_steps_exit_two(self, files):
         out = files["tmp"] / "f.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unsharp.errors import NotHermitian, NotNormalized, NotPositive, TraceNotOne
+from unsharp.errors import NotFinite, NotHermitian, NotNormalized, NotOrthonormal, NotPositive, TraceNotOne
 from unsharp.linalg import (
     DensityMatrix,
     hermitian_eig,
@@ -9,6 +9,7 @@ from unsharp.linalg import (
     overlap,
     pure_state_density,
     require_orthonormal,
+    require_unit_vector,
     validate_density,
 )
 
@@ -132,6 +133,11 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NotFinite):
+            validate_density(np.array([[0.5, bad], [bad, 0.5]]))
+
     def test_wrapped_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
@@ -156,3 +162,12 @@ class TestRequireOrthonormal:
         skew = np.array([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
         with pytest.raises(NotOrthonormal):
             require_orthonormal(skew)
+
+    def test_rejects_nan(self):
+        with pytest.raises(NotOrthonormal):
+            require_orthonormal(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
+def test_unit_vector_rejects_nan():
+    with pytest.raises(NotNormalized):
+        require_unit_vector(np.array([1.0, np.nan]))

@@ -5,6 +5,7 @@ from unsharp.errors import (
     CompletenessViolated,
     DimensionMismatch,
     EigenvalueAboveOne,
+    NotFinite,
     NotOrthonormal,
     NotPositive,
 )
@@ -50,6 +51,11 @@ class TestMakePovm:
     def test_eigenvalue_above_one(self):
         with pytest.raises(EigenvalueAboveOne):
             make_povm([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NotFinite):
+            make_povm([np.array([[1.0, bad], [bad, 0.0]]), np.diag([0.0, 1.0])])
 
     def test_effects_read_only(self):
         povm = make_povm([np.eye(2) / 2, np.eye(2) / 2])

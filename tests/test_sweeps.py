@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unsharp import bounds, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
 from unsharp.sweeps import (
     DAMPING_COLUMNS,
@@ -40,6 +41,10 @@ class TestSweepConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SweepConfig(kind="phi", start=0.0, stop=1.0, steps=11)
+
+    def test_echo_names_only_used_settings(self):
+        echo = theta_config(0.5, 0.6).echo()
+        assert [line.split("=")[0] for line in echo] == ["kind", "start", "stop", "steps", "eta", "zeta", "dim"]
 
 
 class TestSpinBasis:
@@ -136,3 +141,67 @@ class TestFindCrossings:
         xs = np.linspace(0.0, 1.0, 11)
         values = np.concatenate([[0.0], np.ones(10)])
         assert find_crossings(xs, values, lambda x: 1.0) == ()
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestSweepWork:
+    """Each grid row is evaluated once and each bisection step computes only
+    the two columns it compares."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = dict.fromkeys(("majorization_vector", "coles_bound", "theta_row", "damping_row"), 0)
+        for name in ("majorization_vector", "coles_bound"):
+            _count_calls(monkeypatch, bounds, name, counts)
+        for name in ("theta_row", "damping_row"):
+            _count_calls(monkeypatch, sweeps, name, counts)
+        searches = []
+        real_find = sweeps.find_crossings
+
+        def recording_find(xs, values, diff, *args):
+            before = dict(counts)
+            steps = 0
+
+            def counted(x):
+                nonlocal steps
+                steps += 1
+                return diff(x)
+
+            found = real_find(xs, values, counted, *args)
+            searches.append((steps, {k: counts[k] - before[k] for k in counts}, found))
+            return found
+
+        monkeypatch.setattr(sweeps, "find_crossings", recording_find)
+        return counts, searches
+
+    def test_theta_sweep(self, work):
+        counts, searches = work
+        steps = 61
+        result = theta_sweep(theta_config(0.8, 0.9, steps=steps))
+        assert [found for _, _, found in searches] == list(result.crossovers.values())
+        assert all(found for _, _, found in searches)
+        assert counts["theta_row"] == steps
+        (b2_b1_steps, b2_b1, _), (log_c_steps, log_c, _), (_, b1, _) = searches
+        assert b2_b1["majorization_vector"] == b2_b1_steps and b2_b1["coles_bound"] == 0
+        assert log_c["majorization_vector"] == 0 and log_c["coles_bound"] == log_c_steps
+        assert b1["majorization_vector"] == 0 and b1["coles_bound"] == 0
+        assert all(delta["theta_row"] == 0 for _, delta, _ in searches)
+        assert counts["majorization_vector"] == steps + b2_b1_steps
+
+    def test_damping_sweep(self, work):
+        counts, searches = work
+        steps = 41
+        result = damping_sweep(damping_config(steps=steps))
+        ((bisection_steps, delta, found),) = searches
+        assert found == result.crossovers["D_AD-logC"] != ()
+        assert counts["damping_row"] == steps
+        assert delta["damping_row"] == 0 and delta["coles_bound"] == bisection_steps

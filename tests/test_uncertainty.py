@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unsharp.errors import DimensionMismatch
-from unsharp.linalg import DensityMatrix, pure_state_density
+from unsharp.linalg import TOL_PSD, TOL_RECONSTRUCT, DensityMatrix, pure_state_density, validate_density
 from unsharp.povm import (
     QubitPovmParams,
     amplitude_damping_povm,
@@ -51,6 +51,37 @@ class TestOutcomeProbs:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             outcome_probs(DensityMatrix(np.eye(3) / 3), projective_from_basis(np.eye(2)))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_largest_accepted_completeness_residual(self, d):
+        # Shrinking the effect on the uniform superposition leaves the
+        # entrywise residual just under TOL_RECONSTRUCT but lowers the
+        # probability sum on that state by almost d times as much.
+        _, fourier = mub_fourier_basis(d)
+        shrink = 0.99 * TOL_RECONSTRUCT * d
+        effects = [np.outer(v, v.conj()) for v in fourier]
+        effects[0] = (1.0 - shrink) * effects[0]
+        povm = make_povm(effects)
+        rho = validate_density(np.outer(fourier[0], fourier[0].conj()))
+        probs = outcome_probs(rho, povm)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert shannon_entropy(probs) == pytest.approx(0.0, abs=1e-12)
+
+    def test_accepted_negative_eigenvalues_on_both_sides(self):
+        # Effect and state each sit TOL_PSD below positivity on the same
+        # vector, so the raw probability is about -2 TOL_PSD.
+        povm = make_povm([np.diag([1.0 + TOL_PSD, -TOL_PSD]), np.diag([-TOL_PSD, 1.0 + TOL_PSD])])
+        rho = validate_density(np.diag([-TOL_PSD, 1.0 + TOL_PSD]))
+        probs = outcome_probs(rho, povm)
+        assert np.all(probs >= 0.0) and probs.sum() == pytest.approx(1.0, abs=1e-15)
+        assert shannon_entropy(probs) == pytest.approx(0.0, abs=1e-8)
+        assert np.isfinite(quantum_uncertainty(rho, povm))
+
+    def test_rejects_non_distribution(self):
+        with pytest.raises(ValueError):
+            outcome_probs(np.eye(2), projective_from_basis(np.eye(2)))
+        with pytest.raises(ValueError):
+            outcome_probs(np.full((2, 2), np.nan), projective_from_basis(np.eye(2)))
 
 
 class TestEntropies:
