@@ -17,7 +17,6 @@ from .bounds import (
     b1_bound,
     berta_reduced_bound,
     coles_bound,
-    device_uncertainty_operator,
     device_uncertainty_white_noise,
     hw_bound,
     krishna_bound,
@@ -44,10 +43,6 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
-    SpectralDecomposition,
-    hermitian_eig,
-    operator_norm,
-    overlap,
     pure_state_density,
     validate_density,
 )
@@ -73,6 +68,7 @@ from .sampling import (
 from .uncertainty import (
     binary_entropy,
     device_uncertainty,
+    device_uncertainty_operator,
     device_uncertainty_qubit,
     f_white_noise,
     outcome_probs,
@@ -99,7 +95,6 @@ __all__ = [
     "ParseError",
     "Povm",
     "QubitPovmParams",
-    "SpectralDecomposition",
     "TraceNotOne",
     "ValidationError",
     "ad_coles_closed_form",
@@ -114,7 +109,6 @@ __all__ = [
     "device_uncertainty_qubit",
     "device_uncertainty_white_noise",
     "f_white_noise",
-    "hermitian_eig",
     "hw_bound",
     "krishna_bound",
     "majorization_vector",
@@ -123,9 +117,7 @@ __all__ = [
     "min_pair_device_bound",
     "mu_bound",
     "mub_fourier_basis",
-    "operator_norm",
     "outcome_probs",
-    "overlap",
     "pair_bound_report",
     "projective_from_basis",
     "pure_state_density",

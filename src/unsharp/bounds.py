@@ -21,6 +21,7 @@ from .povm import Povm
 from .uncertainty import (
     _white_noise_kernel,
     device_uncertainty,
+    device_uncertainty_operator,
     entropy_term,
     outcome_probs,
     quantum_uncertainty,
@@ -49,21 +50,8 @@ def krishna_bound(povm: Povm) -> float:
     unsharp, which is why the minimized device uncertainty below is the
     stronger state-independent bound.
     """
-    top = max(float(dec.eigenvalues[0]) for dec in povm.spectra)
+    top = float(povm.eigenvalues[:, -1].max())
     return float(-np.log2(top) + 0.0)
-
-
-def device_uncertainty_operator(povm: Povm) -> np.ndarray:
-    """Sum of h(a) |v><v| over all effect eigenpairs, h(a) = -a log2 a.
-
-    The device uncertainty of any state rho equals Tr[rho M] for this
-    operator M, so state minimization reduces to its lowest eigenvalue.
-    """
-    d = povm.dim
-    m = np.zeros((d, d), dtype=complex)
-    for dec in povm.spectra:
-        m += np.einsum("k,ki,kj->ij", entropy_term(dec.eigenvalues), dec.vectors, dec.vectors.conj())
-    return (m + m.conj().T) / 2.0
 
 
 def min_device_uncertainty(povm: Povm) -> float:
@@ -287,14 +275,10 @@ class BoundReport:
 
 def _pvm_basis(povm: Povm) -> np.ndarray | None:
     """Rows of effect top-eigenvectors if the POVM is rank-1 projective."""
-    if povm.n_outcomes != povm.dim:
+    w = povm.eigenvalues
+    if povm.n_outcomes != povm.dim or np.any(np.abs(w[:, -1] - 1.0) > 1e-9) or np.any(w[:, :-1] > 1e-9):
         return None
-    vectors = []
-    for dec in povm.spectra:
-        if abs(dec.eigenvalues[0] - 1.0) > 1e-9 or (povm.dim > 1 and dec.eigenvalues[1] > 1e-9):
-            return None
-        vectors.append(dec.vectors[0])
-    return np.asarray(vectors)
+    return povm.eigenvectors[:, :, -1]
 
 
 def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> BoundReport:
@@ -302,8 +286,10 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
 
     POVM-level bounds are always included. The basis-family bounds (mu, B1,
     HW, QW, B2, D_WN) are included only when both POVMs are projective, in
-    which case they are evaluated at zero noise. With a state, the outcome
-    entropies and the device/quantum split are added for both measurements.
+    which case they are evaluated at zero noise; above MAX_MAJORIZATION_DIM
+    the majorization bounds HW, QW and B2 are omitted and a note says so.
+    With a state, the outcome entropies and the device/quantum split are
+    added for both measurements.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
@@ -320,21 +306,23 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
 
     basis_a, basis_b = _pvm_basis(a), _pvm_basis(b)
     if basis_a is not None and basis_b is not None:
-        mv = majorization_vector(basis_a, basis_b)
-        mu = _mu_from_majorization(mv)
-        qw, b2 = _qw_b2(mv, 1.0, 0.0)
-        values.update(
-            mu=mu,
-            # Sharp white-noise terms vanish, so B1 = mu.
-            B1=mu,
-            HW=hw_bound(mv),
-            QW=qw,
-            B2=b2,
-            D_WN=0.0,
-        )
-        metadata["pvm_pair"] = True
         notes.append(_B1_NOTE)
         notes.append("basis-family bounds evaluated at zero noise (both POVMs are projective)")
+        if a.dim <= MAX_MAJORIZATION_DIM:
+            mv = majorization_vector(basis_a, basis_b)
+            mu = _mu_from_majorization(mv)
+            qw, b2 = _qw_b2(mv, 1.0, 0.0)
+            majorization = dict(HW=hw_bound(mv), QW=qw, B2=b2)
+        else:
+            mu = mu_bound(basis_a, basis_b)
+            majorization = {}
+            notes.append(
+                f"HW, QW and B2 omitted: the majorization enumeration is limited to "
+                f"d <= {MAX_MAJORIZATION_DIM}, got d={a.dim}"
+            )
+        # Sharp white-noise terms vanish, so B1 = mu.
+        values.update(mu=mu, B1=mu, **majorization, D_WN=0.0)
+        metadata["pvm_pair"] = True
     else:
         metadata["pvm_pair"] = False
 

@@ -54,7 +54,7 @@ def cmd_validate(args) -> int:
         "valid": True,
         "dim": povm.dim,
         "n_outcomes": povm.n_outcomes,
-        "spectra": [[float(x) for x in dec.eigenvalues] for dec in povm.spectra],
+        "spectra": povm.eigenvalues[:, ::-1].tolist(),
         "completeness_residual": povm.completeness_residual(),
     }
     if args.json:

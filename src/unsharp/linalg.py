@@ -67,11 +67,19 @@ def prob_tol(d: int) -> float:
 
 
 def require_hermitian(m, tol: float = TOL_HERMITIAN) -> np.ndarray:
-    """Return m as a complex array, raising NotHermitian beyond tol."""
-    m = _as_square_matrix(m)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol:
-        raise NotHermitian(f"max |m - m^dagger| entry is {defect:.3e} > {tol:.1e}")
+    """Return m as a complex array, raising NotHermitian beyond tol.
+
+    m is one (d, d) matrix or a stack (n, d, d); for a stack the error names
+    the first matrix, in index order, whose defect exceeds tol.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        where = f"matrix {bad[0]}: " if m.ndim == 3 else ""
+        raise NotHermitian(f"{where}max |m - m^dagger| entry is {defect.flat[bad[0]]:.3e} > {tol:.1e}")
     return m
 
 
@@ -99,55 +107,6 @@ def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
     if not defect <= tol:
         raise NotOrthonormal(f"max Gram-matrix deviation from identity is {defect:.3e} > {tol:.1e}")
     return basis
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenpairs of a Hermitian matrix, sorted by descending eigenvalue.
-
-    ``vectors[k]`` is the unit eigenvector belonging to ``eigenvalues[k]``.
-    For a degenerate eigenvalue any orthonormal basis of its eigenspace may
-    appear; every downstream quantity built from the decomposition is
-    independent of that choice.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "vectors", _frozen(np.asarray(self.vectors, dtype=complex)))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * |v><v| over all eigenpairs."""
-        return np.einsum("k,ki,kj->ij", self.eigenvalues, self.vectors, self.vectors.conj())
-
-
-def hermitian_eig(m, tol: float = TOL_HERMITIAN) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = require_hermitian(m, tol)
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return SpectralDecomposition(eigenvalues=w[order], vectors=v[:, order].T)
-
-
-def operator_norm(m) -> float:
-    """Largest singular value; for Hermitian input this is max |eigenvalue|."""
-    m = require_hermitian(m)
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
-def overlap(v, w, tol: float = TOL_ORTHONORMAL) -> float:
-    """Squared inner product |<v|w>|^2 of two unit vectors, in [0, 1]."""
-    v = require_unit_vector(v, tol)
-    w = require_unit_vector(w, tol)
-    if v.shape != w.shape:
-        raise ValueError(f"vector lengths differ: {v.shape[0]} vs {w.shape[0]}")
-    return min(float(np.abs(np.vdot(v, w)) ** 2), 1.0)
 
 
 @dataclass(frozen=True)

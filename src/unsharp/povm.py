@@ -21,10 +21,9 @@ from .errors import (
 from .linalg import (
     TOL_PSD,
     TOL_RECONSTRUCT,
-    SpectralDecomposition,
     _frozen,
-    hermitian_eig,
     require_finite,
+    require_hermitian,
     require_orthonormal,
 )
 
@@ -35,15 +34,21 @@ PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 @dataclass(frozen=True)
 class Povm:
-    """Validated POVM with cached spectral decompositions of every effect.
+    """Validated POVM with the eigendecomposition of every effect.
 
-    ``effects`` is a read-only (n, d, d) complex array. ``spectra[i]``
-    decomposes ``effects[i]``, with eigenvalues clamped into [0, 1] after the
+    All three arrays are read-only. ``effects`` has shape (n, d, d).
+    ``eigenvalues`` has shape (n, d): row i holds the eigenvalues of
+    ``effects[i]`` in ascending order, clamped into [0, 1] after the
     positivity check (entropy weights are undefined off that interval).
+    ``eigenvectors`` has shape (n, d, d): column k of ``eigenvectors[i]`` is
+    the unit eigenvector of ``eigenvalues[i, k]``. Within a degenerate
+    eigenspace any orthonormal basis may appear; every quantity built from
+    the decomposition is independent of that choice.
     """
 
     effects: np.ndarray
-    spectra: tuple[SpectralDecomposition, ...] = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         effects = np.asarray(self.effects, dtype=complex)
@@ -51,25 +56,24 @@ class Povm:
             raise ValueError(f"expected an (n, d, d) effect array, got shape {effects.shape}")
         if effects.shape[0] == 0:
             raise ValueError("a POVM needs at least one effect")
-        require_finite(effects, "POVM effect array")
+        effects = require_hermitian(require_finite(effects, "POVM effect array"))
+        eigenvalues, eigenvectors = np.linalg.eigh(effects)
+        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
+        bad = np.flatnonzero((low < -TOL_PSD) | (high > 1.0 + TOL_PSD))
+        if bad.size:
+            i = bad[0]
+            if low[i] < -TOL_PSD:
+                raise NotPositive(f"effect {i}: lowest eigenvalue {low[i]:.3e} < -{TOL_PSD:.1e}")
+            raise EigenvalueAboveOne(f"effect {i}: largest eigenvalue {high[i]:.12f} > 1")
         d = effects.shape[1]
-        spectra = []
-        for i, effect in enumerate(effects):
-            dec = hermitian_eig(effect)
-            low = float(dec.eigenvalues[-1])
-            high = float(dec.eigenvalues[0])
-            if low < -TOL_PSD:
-                raise NotPositive(f"effect {i}: lowest eigenvalue {low:.3e} < -{TOL_PSD:.1e}")
-            if high > 1.0 + TOL_PSD:
-                raise EigenvalueAboveOne(f"effect {i}: largest eigenvalue {high:.12f} > 1")
-            spectra.append(SpectralDecomposition(np.clip(dec.eigenvalues, 0.0, 1.0), dec.vectors))
         residual = float(np.max(np.abs(effects.sum(axis=0) - np.eye(d))))
         if residual > TOL_RECONSTRUCT:
             raise CompletenessViolated(
                 f"effects sum to identity with max residual {residual:.3e} > {TOL_RECONSTRUCT:.1e}"
             )
         object.__setattr__(self, "effects", _frozen(effects))
-        object.__setattr__(self, "spectra", tuple(spectra))
+        object.__setattr__(self, "eigenvalues", _frozen(np.clip(eigenvalues, 0.0, 1.0)))
+        object.__setattr__(self, "eigenvectors", _frozen(eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -85,7 +89,7 @@ class Povm:
 
 
 def make_povm(effects) -> Povm:
-    """Validate a sequence of effect matrices and cache their spectra."""
+    """Validate a sequence of effect matrices and decompose them."""
     return Povm(np.stack([np.asarray(e, dtype=complex) for e in effects]))
 
 

@@ -69,22 +69,32 @@ def von_neumann_entropy(rho) -> float:
     return float(np.sum(entropy_term(np.clip(w, 0.0, 1.0))))
 
 
+def device_uncertainty_operator(povm: Povm) -> np.ndarray:
+    """Sum of h(a) |v><v| over all effect eigenpairs, h(a) = -a log2 a.
+
+    Contracts ``povm.eigenvalues`` (n, d), ascending, with the eigenvector
+    columns of ``povm.eigenvectors`` (n, d, d) into a Hermitian (d, d)
+    operator M. The device uncertainty of any state rho equals Tr[rho M], so
+    state minimization reduces to its lowest eigenvalue.
+    """
+    v = povm.eigenvectors
+    m = np.einsum("nk,nik,njk->ij", entropy_term(povm.eigenvalues), v, v.conj())
+    return (m + m.conj().T) / 2.0
+
+
 def device_uncertainty(rho, povm: Povm) -> float:
     """Entropic unsharpness of a measurement, averaged over the state.
 
     Sums -a log2(a) over every effect eigenvalue a, weighted by the overlap
-    <v|rho|v> of the state with the corresponding eigenvector. Vanishes for
+    <v|rho|v> of the state with the corresponding eigenvector; that is
+    Tr[rho M] for M = ``device_uncertainty_operator(povm)``. Vanishes for
     every state exactly when the measurement is projective, and never exceeds
     the outcome entropy.
     """
     rho = _state_matrix(rho)
     if rho.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"state shape {rho.shape} does not match POVM dim {povm.dim}")
-    total = 0.0
-    for dec in povm.spectra:
-        weights = np.einsum("ki,ij,kj->k", dec.vectors.conj(), rho, dec.vectors).real
-        total += float(weights @ entropy_term(dec.eigenvalues))
-    return total
+    return float(np.einsum("ij,ji->", rho, device_uncertainty_operator(povm)).real)
 
 
 def device_uncertainty_qubit(psi, params: QubitPovmParams) -> float:

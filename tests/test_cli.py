@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from unsharp.bounds import MAX_MAJORIZATION_DIM, mu_bound
 from unsharp.cli import main
 from unsharp.linalg import DensityMatrix
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
+from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
 
 
@@ -144,6 +146,24 @@ class TestBounds:
         assert main(["bounds", files["near"], files["pvm_z"], "--state", files["mixed"]]) == 0
         values = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["values"]
         assert all(np.isfinite(list(values.values())))
+
+    def test_projective_pair_above_majorization_limit(self, files, capsys):
+        d = MAX_MAJORIZATION_DIM + 1
+        rng = np.random.default_rng(9)
+        basis_a, basis_b = random_basis(d, rng), random_basis(d, rng)
+        paths = []
+        for name, basis in (("a9.json", basis_a), ("b9.json", basis_b)):
+            path = files["tmp"] / name
+            path.write_text(json.dumps(povm_to_json(projective_from_basis(basis))))
+            paths.append(str(path))
+        assert main(["bounds", *paths]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        values = report["values"]
+        assert values["mu"] == pytest.approx(mu_bound(basis_a, basis_b), abs=1e-12)
+        assert values["B1"] == values["mu"]
+        assert values["D_WN"] == 0.0
+        assert not {"HW", "QW", "B2"} & set(values)
+        assert any(f"d <= {MAX_MAJORIZATION_DIM}" in note for note in report["notes"])
 
 
 class TestSweepTheta:

@@ -4,111 +4,66 @@ import pytest
 from unsharp.errors import NotFinite, NotHermitian, NotNormalized, NotOrthonormal, NotPositive, TraceNotOne
 from unsharp.linalg import (
     DensityMatrix,
-    hermitian_eig,
-    operator_norm,
-    overlap,
     pure_state_density,
     require_orthonormal,
     require_unit_vector,
     validate_density,
 )
+from unsharp.povm import make_povm
+from unsharp.sampling import random_povm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def rand_hermitian(rng, d):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (z + z.conj().T) / 2
+def reconstruct(povm):
+    """sum_k w_k |v_k><v_k| of every effect, from the stored decomposition."""
+    v = povm.eigenvectors
+    return np.einsum("nk,nik,njk->nij", povm.eigenvalues, v, v.conj())
+
+
+def column_gram(povm):
+    """V^dagger V of every effect's eigenvector matrix."""
+    return np.einsum("nki,nkj->nij", povm.eigenvectors.conj(), povm.eigenvectors)
 
 
 class TestHermitianEig:
+    """The Hermitian eigendecomposition of every effect, as Povm stores it."""
+
     def test_identity(self):
-        dec = hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0])
-        np.testing.assert_allclose(dec.vectors.conj() @ dec.vectors.T, np.eye(2), atol=1e-12)
+        povm = make_povm([np.eye(2)])
+        np.testing.assert_allclose(povm.eigenvalues, [[1.0, 1.0]])
+        np.testing.assert_allclose(column_gram(povm), [np.eye(2)], atol=1e-12)
 
     def test_sigma_z(self):
-        dec = hermitian_eig(SIGMA_Z)
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0])
-        assert abs(dec.vectors[0][0]) == pytest.approx(1.0)
-        assert abs(dec.vectors[1][1]) == pytest.approx(1.0)
+        povm = make_povm([(np.eye(2) + SIGMA_Z) / 2, (np.eye(2) - SIGMA_Z) / 2])
+        np.testing.assert_allclose(povm.eigenvalues[0], [0.0, 1.0])
+        # ascending: column 1 belongs to eigenvalue 1 (|0>), column 0 to 0 (|1>)
+        assert abs(povm.eigenvectors[0][0, 1]) == pytest.approx(1.0)
+        assert abs(povm.eigenvectors[0][1, 0]) == pytest.approx(1.0)
 
     def test_rotated_pauli(self):
         # characteristic polynomial of (sx + sz)/sqrt(2) is l^2 - 1
-        dec = hermitian_eig((SIGMA_X + SIGMA_Z) / np.sqrt(2))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
+        rotated = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
+        povm = make_povm([(np.eye(2) + rotated) / 2, (np.eye(2) - rotated) / 2])
+        np.testing.assert_allclose(povm.eigenvalues, [[0.0, 1.0], [0.0, 1.0]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            make_povm([np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2)])
 
     def test_random_reconstruction_and_trace(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            d = int(rng.integers(2, 7))
-            m = rand_hermitian(rng, d)
-            dec = hermitian_eig(m)
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-14)
-            np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-8)
-            assert abs(dec.eigenvalues.sum() - np.trace(m).real) < 1e-10
+            povm = random_povm(int(rng.integers(2, 7)), int(rng.integers(2, 7)), rng)
+            assert np.all(np.diff(povm.eigenvalues, axis=1) >= -1e-14)
+            np.testing.assert_allclose(reconstruct(povm), povm.effects, atol=1e-8)
+            traces = np.trace(povm.effects, axis1=1, axis2=2).real
+            assert np.max(np.abs(povm.eigenvalues.sum(axis=1) - traces)) < 1e-10
 
     def test_eigenvectors_orthonormal(self):
-        rng = np.random.default_rng(3)
-        dec = hermitian_eig(rand_hermitian(rng, 5))
-        np.testing.assert_allclose(dec.vectors.conj() @ dec.vectors.T, np.eye(5), atol=1e-8)
-
-
-class TestOperatorNorm:
-    def test_identity(self):
-        assert operator_norm(np.eye(3)) == pytest.approx(1.0)
-
-    def test_scaled_projector(self):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[0, 0] = 0.3
-        assert operator_norm(proj) == pytest.approx(0.3)
-
-    def test_two_projector_sum(self):
-        # norm of |a><a| + |b><b| is 1 + |<a|b>|; brute-force eig is the path,
-        # the closed form is the oracle
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            a = rng.normal(size=d) + 1j * rng.normal(size=d)
-            b = rng.normal(size=d) + 1j * rng.normal(size=d)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            m = np.outer(a, a.conj()) + np.outer(b, b.conj())
-            expected = 1.0 + abs(np.vdot(a, b))
-            assert operator_norm(m) == pytest.approx(expected, abs=1e-10)
-
-    def test_matches_eig_path(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            m = rand_hermitian(rng, int(rng.integers(2, 7)))
-            dec = hermitian_eig(m)
-            assert abs(operator_norm(m) - np.max(np.abs(dec.eigenvalues))) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            operator_norm(np.array([[0, 2], [0, 0]]))
-
-
-class TestOverlap:
-    def test_same_vector(self):
-        v = np.array([1, 1j]) / np.sqrt(2)
-        assert overlap(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert overlap(np.array([1, 0]), np.array([0, 1])) == pytest.approx(0.0)
-
-    def test_qubit_mub(self):
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert overlap(np.array([1.0, 0.0]), plus) == pytest.approx(0.5)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            overlap(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        povm = random_povm(5, 4, 3)
+        np.testing.assert_allclose(column_gram(povm), np.broadcast_to(np.eye(5), (4, 5, 5)), atol=1e-8)
 
 
 class TestValidateDensity:

@@ -6,6 +6,7 @@ from unsharp.errors import (
     DimensionMismatch,
     EigenvalueAboveOne,
     NotFinite,
+    NotHermitian,
     NotOrthonormal,
     NotPositive,
 )
@@ -20,6 +21,7 @@ from unsharp.povm import (
     qubit_povm,
     white_noise_povm,
 )
+from unsharp.sampling import random_povm
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -34,11 +36,11 @@ class TestMakePovm:
         povm = make_povm([proj(KET0), proj(KET1)])
         assert povm.dim == 2
         assert povm.n_outcomes == 2
-        np.testing.assert_allclose(povm.spectra[0].eigenvalues, [1.0, 0.0])
+        np.testing.assert_allclose(povm.eigenvalues[0], [0.0, 1.0])
 
     def test_trivial_povm(self):
         povm = make_povm([np.eye(2) / 2, np.eye(2) / 2])
-        np.testing.assert_allclose(povm.spectra[0].eigenvalues, [0.5, 0.5])
+        np.testing.assert_allclose(povm.eigenvalues[0], [0.5, 0.5])
 
     def test_completeness_violated(self):
         with pytest.raises(CompletenessViolated):
@@ -56,6 +58,35 @@ class TestMakePovm:
     def test_non_finite_entry(self, bad):
         with pytest.raises(NotFinite):
             make_povm([np.array([[1.0, bad], [bad, 0.0]]), np.diag([0.0, 1.0])])
+
+    def test_non_hermitian_effect_named_by_index(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(NotHermitian, match="matrix 1:"):
+            make_povm([np.diag([0.5, 0.5]), skew, np.diag([0.0, 0.0])])
+
+    def test_first_failing_effect_in_index_order(self):
+        # effect 1 is above one, effect 2 is not positive; effect 1 is reported
+        with pytest.raises(EigenvalueAboveOne, match="effect 1:"):
+            make_povm([np.diag([0.5, 0.5]), np.diag([1.5, 0.0]), np.diag([-1.0, 0.5])])
+        # within one effect, positivity is checked before the upper bound
+        with pytest.raises(NotPositive, match="effect 0:"):
+            make_povm([np.diag([-0.5, 1.5]), np.diag([1.5, -0.5])])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_stacked_eigh_per_povm(self, n, monkeypatch):
+        effects = random_povm(3, n, n).effects
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        povm = Povm(effects)
+        assert calls == [(n, 3, 3)]
+        assert povm.eigenvalues.shape == (n, 3)
+        assert povm.eigenvectors.shape == (n, 3, 3)
 
     def test_effects_read_only(self):
         povm = make_povm([np.eye(2) / 2, np.eye(2) / 2])
@@ -96,7 +127,7 @@ class TestQubitPovm:
         eta = 0.6
         povm = qubit_povm(QubitPovmParams(a0=1.0, a_vec=np.array([0.0, 0.0, eta])))
         np.testing.assert_allclose(povm.effects[0], np.diag([(1 + eta) / 2, (1 - eta) / 2]), atol=1e-15)
-        np.testing.assert_allclose(povm.spectra[0].eigenvalues, [(1 + eta) / 2, (1 - eta) / 2])
+        np.testing.assert_allclose(povm.eigenvalues[0], [(1 - eta) / 2, (1 + eta) / 2])
 
     def test_params_out_of_range(self):
         with pytest.raises(ValueError):
@@ -113,12 +144,12 @@ class TestQubitPovm:
             a0 = float(rng.uniform(r, 2.0 - r))
             params = QubitPovmParams(a0=a0, a_vec=r * direction)
             povm = qubit_povm(params)
-            up, down = povm.spectra[0], povm.spectra[1]
+            up, down = povm.eigenvalues
             # effect spectra are the conditional probabilities
-            assert up.eigenvalues[0] == pytest.approx((a0 + r) / 2, abs=1e-12)
-            assert up.eigenvalues[1] == pytest.approx((a0 - r) / 2, abs=1e-12)
+            assert up[1] == pytest.approx((a0 + r) / 2, abs=1e-12)
+            assert up[0] == pytest.approx((a0 - r) / 2, abs=1e-12)
             assert params.conditional_prob_up(+1) + (1 - params.conditional_prob_up(+1)) == 1.0
-            assert down.eigenvalues.sum() + up.eigenvalues.sum() == pytest.approx(2.0, abs=1e-12)
+            assert down.sum() + up.sum() == pytest.approx(2.0, abs=1e-12)
 
 
 class TestWhiteNoisePovm:
@@ -134,7 +165,7 @@ class TestWhiteNoisePovm:
 
     def test_half_noise_spectrum(self):
         povm = white_noise_povm(np.eye(2), 0.5)
-        np.testing.assert_allclose(povm.spectra[0].eigenvalues, [0.75, 0.25])
+        np.testing.assert_allclose(povm.eigenvalues[0], [0.25, 0.75])
 
     def test_spectrum_closed_form(self):
         rng = np.random.default_rng(31)
@@ -143,9 +174,9 @@ class TestWhiteNoisePovm:
             for alpha in (0.0, 0.3, 0.8, 1.0):
                 povm = white_noise_povm(q.T, alpha)
                 alpha_d = (1 - alpha) / d
-                expected = np.concatenate([[alpha + alpha_d], np.full(d - 1, alpha_d)])
-                for dec in povm.spectra:
-                    np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-10)
+                expected = np.concatenate([np.full(d - 1, alpha_d), [alpha + alpha_d]])
+                for row in povm.eigenvalues:
+                    np.testing.assert_allclose(row, expected, atol=1e-10)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
@@ -169,7 +200,7 @@ class TestAmplitudeDampingPovm:
 
     def test_half_damping_spectrum(self):
         povm = amplitude_damping_povm(np.eye(3), 0.5)
-        np.testing.assert_allclose(povm.spectra[0].eigenvalues, [1.0, 0.5, 0.5])
+        np.testing.assert_allclose(povm.eigenvalues[0], [0.5, 0.5, 1.0])
 
     def test_completeness_exact(self):
         _, fourier = mub_fourier_basis(3)
@@ -206,8 +237,8 @@ class TestConvexCombination:
         plus_minus = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         b = projective_from_basis(plus_minus)
         mixed = convex_combination(a, b, 0.3)
-        np.testing.assert_allclose(mixed.spectra[0].eigenvalues, [0.3, 0.0], atol=1e-12)
-        np.testing.assert_allclose(mixed.spectra[2].eigenvalues, [0.7, 0.0], atol=1e-12)
+        np.testing.assert_allclose(mixed.eigenvalues[0], [0.0, 0.3], atol=1e-12)
+        np.testing.assert_allclose(mixed.eigenvalues[2], [0.0, 0.7], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -261,5 +292,8 @@ class TestRevalidation:
             amplitude_damping_povm(basis_x, 0.6),
             qubit_povm(QubitPovmParams(1.2, np.array([0.1, 0.4, 0.2]))),
         ):
-            for effect, dec in zip(povm.effects, povm.spectra):
-                np.testing.assert_allclose(dec.reconstruct(), effect, atol=1e-8)
+            v = povm.eigenvectors
+            reconstructed = np.einsum("nk,nik,njk->nij", povm.eigenvalues, v, v.conj())
+            np.testing.assert_allclose(reconstructed, povm.effects, atol=1e-8)
+            gram = np.einsum("nki,nkj->nij", v.conj(), v)
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(povm.dim), gram.shape), atol=1e-12)

@@ -93,9 +93,8 @@ class TestRandomPovm:
             povm = random_povm(d, n, rng)
             assert povm.n_outcomes == n
             assert povm.completeness_residual() < 1e-10
-            for dec in povm.spectra:
-                assert np.all(dec.eigenvalues >= 0.0)
-                assert np.all(dec.eigenvalues <= 1.0)
+            assert np.all(povm.eigenvalues >= 0.0)
+            assert np.all(povm.eigenvalues <= 1.0)
 
     def test_revalidation(self):
         povm = random_povm(3, 4, 13)

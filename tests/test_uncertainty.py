@@ -31,6 +31,17 @@ from unsharp.uncertainty import (
 H_THREE_QUARTERS = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
 
 
+def per_effect_device_uncertainty(rho, effects):
+    """Reference loop: one eigendecomposition per effect, summing
+    <v|rho|v> h(a) over its eigenpairs."""
+    total = 0.0
+    for effect in effects:
+        w, v = np.linalg.eigh(effect)
+        weights = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+        total += float(weights @ entropy_term(np.clip(w, 0.0, 1.0)))
+    return total
+
+
 class TestOutcomeProbs:
     def test_pure_state_pvm(self):
         rho = pure_state_density(np.array([1.0, 0.0]))
@@ -119,6 +130,15 @@ class TestEntropies:
 
 
 class TestDeviceUncertainty:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_per_effect_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(20):
+            povm = random_povm(d, int(rng.integers(2, 7)), rng)
+            rho = random_mixed_state(d, rng).matrix
+            expected = per_effect_device_uncertainty(rho, povm.effects)
+            assert device_uncertainty(rho, povm) == pytest.approx(expected, abs=1e-12)
+
     def test_vanishes_for_pvm(self):
         rng = np.random.default_rng(2)
         for d in (2, 3, 4):
@@ -345,19 +365,21 @@ class TestDegeneracyIndependence:
         povm = white_noise_povm(random_basis(3, rng), 0.6)
         rho = random_mixed_state(3, rng)
         reference = device_uncertainty(rho, povm)
-        for dec in povm.spectra:
+        for values, columns in zip(povm.eigenvalues, povm.eigenvectors):
             phi = float(rng.uniform(0, 2 * np.pi))
             rotation = np.array(
                 [[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]], dtype=complex
             )
-            rotated = dec.vectors.copy()
-            rotated[1:] = rotation @ rotated[1:]
+            # rows are eigenvectors, ascending: the first d - 1 span the degenerate space
+            vectors = columns.T
+            rotated = vectors.copy()
+            rotated[:-1] = rotation @ rotated[:-1]
             manual = 0.0
-            for vec, val in zip(rotated, dec.eigenvalues):
+            for vec, val in zip(rotated, values):
                 weight = float((vec.conj() @ rho.matrix @ vec).real)
                 manual += weight * float(entropy_term(val))
             partial_reference = 0.0
-            for vec, val in zip(dec.vectors, dec.eigenvalues):
+            for vec, val in zip(vectors, values):
                 weight = float((vec.conj() @ rho.matrix @ vec).real)
                 partial_reference += weight * float(entropy_term(val))
             assert manual == pytest.approx(partial_reference, abs=1e-10)
