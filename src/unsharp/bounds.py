@@ -6,6 +6,10 @@ Pair bounds: the effect-sandwich bound -log2 C, the largest-overlap bound for
 two bases, its white-noise extension B1, the direct-sum majorization bounds
 H(W) / Q(W) / B2, the total white-noise device uncertainty, and the minimized
 pair device uncertainty with its amplitude-damping closed form.
+
+Every bound except ``pair_bound_report`` broadcasts over leading stack axes
+of its POVMs, bases and noise levels, returning a Python float for unstacked
+input and an array otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _frozen, require_orthonormal
+from .linalg import DensityMatrix, _frozen, float_or_array, in_unit_interval, require_orthonormal
 from .povm import Povm
 from .uncertainty import (
     _white_noise_kernel,
@@ -38,28 +42,28 @@ from .uncertainty import (
 MAX_MAJORIZATION_DIM = 8
 
 
-def _neg_log2(c: float) -> float:
+def _neg_log2(c):
     """-log2 of an overlap constant, capped at 1 and without a negative zero."""
-    return float(-np.log2(min(c, 1.0)) + 0.0)
+    return float_or_array(-np.log2(np.minimum(c, 1.0)) + 0.0)
 
 
-def krishna_bound(povm: Povm) -> float:
+def krishna_bound(povm: Povm):
     """-log2 of the largest effect norm: the best resolution scale.
 
     Vanishes as soon as any effect has norm 1, even if other effects are
     unsharp, which is why the minimized device uncertainty below is the
     stronger state-independent bound.
     """
-    top = float(povm.eigenvalues[:, -1].max())
-    return float(-np.log2(top) + 0.0)
+    top = povm.eigenvalues[..., -1].max(axis=-1)
+    return float_or_array(-np.log2(top) + 0.0)
 
 
-def min_device_uncertainty(povm: Povm) -> float:
+def min_device_uncertainty(povm: Povm):
     """Device uncertainty minimized over all states (lowest eigenvalue)."""
-    return float(np.linalg.eigvalsh(device_uncertainty_operator(povm))[0])
+    return float_or_array(np.linalg.eigvalsh(device_uncertainty_operator(povm))[..., 0])
 
 
-def min_pair_device_bound(a: Povm, b: Povm) -> float:
+def min_pair_device_bound(a: Povm, b: Povm):
     """min over states of the summed device uncertainty of two measurements.
 
     The objective is linear in the state, so the minimum is the lowest
@@ -69,32 +73,33 @@ def min_pair_device_bound(a: Povm, b: Povm) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
     m = device_uncertainty_operator(a) + device_uncertainty_operator(b)
-    return float(np.linalg.eigvalsh(m)[0])
+    return float_or_array(np.linalg.eigvalsh(m)[..., 0])
 
 
-def device_uncertainty_white_noise(alpha: float, d: int) -> float:
+def device_uncertainty_white_noise(alpha, d: int):
     """Closed-form device uncertainty of a white-noise measurement.
 
     With alpha_d = (1 - alpha) / d this is h(alpha + alpha_d) +
-    (d - 1) h(alpha_d); it is state-independent and decreases monotonically
-    in alpha.
+    (d - 1) h(alpha_d), elementwise over an array alpha; it is
+    state-independent and decreases monotonically in alpha.
     """
-    if not 0.0 <= alpha <= 1.0:
+    if not in_unit_interval(alpha):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    alpha_d = (1.0 - alpha) / d
-    return float(entropy_term(alpha + alpha_d) + (d - 1) * entropy_term(alpha_d))
+    a = np.asarray(alpha, dtype=float)
+    alpha_d = (1.0 - a) / d
+    return float_or_array(entropy_term(a + alpha_d) + (d - 1) * entropy_term(alpha_d))
 
 
-def _sandwiched_max(core: Povm, wrap: Povm) -> float:
+def _sandwiched_max(core: Povm, wrap: Povm) -> np.ndarray:
     """max_i || sum_j W_j C_i W_j || over the effects C_i of core, W_j of wrap."""
-    s = np.einsum("nij,mjk,nkl->mil", wrap.effects, core.effects, wrap.effects)
-    s = (s + s.conj().transpose(0, 2, 1)) / 2.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(s))))
+    s = np.einsum("...nij,...mjk,...nkl->...mil", wrap.effects, core.effects, wrap.effects)
+    s = (s + s.conj().swapaxes(-1, -2)) / 2.0
+    return abs(np.linalg.eigvalsh(s)).max(axis=(-2, -1))
 
 
-def coles_bound(a: Povm, b: Povm) -> float:
+def coles_bound(a: Povm, b: Povm):
     """State-independent pair bound -log2 C from sandwiched effect sums.
 
     C = min( max_i || sum_j B_j A_i B_j ||, max_j || sum_i A_i B_j A_i || ).
@@ -103,29 +108,33 @@ def coles_bound(a: Povm, b: Povm) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
-    return _neg_log2(min(_sandwiched_max(a, b), _sandwiched_max(b, a)))
+    return _neg_log2(np.minimum(_sandwiched_max(a, b), _sandwiched_max(b, a)))
 
 
-def mu_bound(basis_a, basis_b) -> float:
-    """Largest-overlap bound -log2 max_{i,j} |<a_i|b_j>|^2 for two bases."""
+def _overlaps(basis_a, basis_b) -> np.ndarray:
+    """Overlap matrices U[..., i, j] = <a_i|b_j> of two validated (stacks of) bases."""
     basis_a = require_orthonormal(basis_a)
     basis_b = require_orthonormal(basis_b)
-    if basis_a.shape != basis_b.shape:
-        raise DimensionMismatch(f"basis dimensions differ: {basis_a.shape[0]} vs {basis_b.shape[0]}")
-    return _neg_log2(float(np.max(np.abs(basis_a.conj() @ basis_b.T) ** 2)))
+    if basis_a.shape[-1] != basis_b.shape[-1]:
+        raise DimensionMismatch(f"basis dimensions differ: {basis_a.shape[-1]} vs {basis_b.shape[-1]}")
+    return basis_a.conj() @ basis_b.swapaxes(-1, -2)
 
 
-def b1_bound(basis_a, alpha: float, basis_b, beta: float) -> float:
+def mu_bound(basis_a, basis_b):
+    """Largest-overlap bound -log2 max_{i,j} |<a_i|b_j>|^2 for two bases."""
+    return _neg_log2((abs(_overlaps(basis_a, basis_b)) ** 2).max(axis=(-2, -1)))
+
+
+def b1_bound(basis_a, alpha, basis_b, beta):
     """Largest-overlap bound plus the smaller white-noise device uncertainty.
 
     Convention: the overlap constant is max_{i,j} |<a_i|b_j>|^2, so the sharp
     limit alpha = beta = 1 recovers ``mu_bound`` exactly.
     """
     mu = mu_bound(basis_a, basis_b)
-    d = np.asarray(basis_a).shape[0]
-    return mu + min(
-        device_uncertainty_white_noise(alpha, d),
-        device_uncertainty_white_noise(beta, d),
+    d = np.asarray(basis_a).shape[-1]
+    return float_or_array(
+        mu + np.minimum(device_uncertainty_white_noise(alpha, d), device_uncertainty_white_noise(beta, d))
     )
 
 
@@ -147,7 +156,8 @@ class MajorizationVector:
     exactly 2. ``W = (w_1 - 1, w_2 - w_1, ..., w_d - w_{d-1}, 0, ..., 0)`` has
     length 2d - 1, entries >= 0, and sums to 1, so that prepending a 1 yields
     a comparison vector of the same length 2d as a pair of outcome
-    distributions.
+    distributions. For a stack of basis pairs, ``w`` is (..., d) and ``W``
+    is (..., 2d - 1).
     """
 
     w: np.ndarray
@@ -159,11 +169,11 @@ class MajorizationVector:
 
     @property
     def dim(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
     def padded(self) -> np.ndarray:
         """W zero-padded to length 2d."""
-        return np.concatenate([self.W, [0.0]])
+        return np.concatenate([self.W, np.zeros(self.W.shape[:-1] + (1,))], axis=-1)
 
 
 def majorization_vector(basis_a, basis_b) -> MajorizationVector:
@@ -178,23 +188,20 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     always matches, and when |R| + |S| > d the spans intersect, so w_d = 2
     exactly. The cost is one batched SVD per size pair (|R|, |S|) with
     |R| + |S| <= d: O(4^d) singular-value problems of size at most d/2.
+    Stacks of bases (..., d, d) broadcast and enlarge each batched SVD.
     """
-    basis_a = require_orthonormal(basis_a)
-    basis_b = require_orthonormal(basis_b)
-    if basis_a.shape != basis_b.shape:
-        raise DimensionMismatch(f"basis dimensions differ: {basis_a.shape[0]} vs {basis_b.shape[0]}")
-    d = basis_a.shape[0]
+    u = _overlaps(basis_a, basis_b)
+    d = u.shape[-1]
     if d > MAX_MAJORIZATION_DIM:
         raise ValueError(f"subset enumeration is limited to d <= {MAX_MAJORIZATION_DIM}, got d={d}")
 
-    u = basis_a.conj() @ basis_b.T
     subsets = [np.array(list(combinations(range(d), size)), dtype=np.intp) for size in range(d)]
-    top = np.zeros(d)
+    top = np.zeros(u.shape[:-1])
     for r_size in range(1, d):
-        rows = u[subsets[r_size]]
+        rows = u[..., subsets[r_size], :]
         for s_size in range(1, d + 1 - r_size):
-            # (R, |R|, S, |S|) -> (R, S, |R|, |S|): every U[R, S] of these sizes.
-            block = rows[..., subsets[s_size]].transpose(0, 2, 1, 3)
+            # (..., R, |R|, S, |S|) -> (..., R, S, |R|, |S|): every U[R, S] of these sizes.
+            block = rows[..., subsets[s_size]].swapaxes(-3, -2)
             if min(r_size, s_size) == 1:
                 # A single row or column: sigma_max is its Euclidean norm. This
                 # keeps d <= 3 off the SVD path, whose first call adds ~0.7 MB RSS.
@@ -202,26 +209,26 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
             else:
                 sigma = np.linalg.svd(block, compute_uv=False)[..., 0]
             k = r_size + s_size - 1
-            top[k - 1] = max(top[k - 1], float(sigma.max()))
-    top[d - 1] = 1.0
+            top[..., k - 1] = np.maximum(top[..., k - 1], sigma.max(axis=(-2, -1)))
+    top[..., d - 1] = 1.0
     w = 1.0 + top
 
-    increments = np.diff(w, prepend=1.0)
-    big_w = np.concatenate([np.clip(increments, 0.0, None), np.zeros(d - 1)])
+    increments = np.diff(w, axis=-1, prepend=1.0)
+    big_w = np.concatenate([np.clip(increments, 0.0, None), np.zeros(w.shape[:-1] + (d - 1,))], axis=-1)
     return MajorizationVector(w=w, W=big_w)
 
 
-def _mu_from_majorization(mv: MajorizationVector) -> float:
+def _mu_from_majorization(mv: MajorizationVector):
     """Largest-overlap bound from w_1 = 1 + max_{i,j} |<a_i|b_j>|."""
-    return _neg_log2((float(mv.w[0]) - 1.0) ** 2)
+    return _neg_log2((mv.w[..., 0] - 1.0) ** 2)
 
 
-def hw_bound(mv: MajorizationVector) -> float:
+def hw_bound(mv: MajorizationVector):
     """Shannon entropy of the majorization increment distribution W."""
     return shannon_entropy(mv.W)
 
 
-def qw_b2_bound(basis_a, alpha: float, basis_b, beta: float) -> tuple[float, float]:
+def qw_b2_bound(basis_a, alpha, basis_b, beta):
     """Majorization bound on the quantum uncertainty and the full bound B2.
 
     Q(W) applies the white-noise kernel at the larger noise level,
@@ -232,13 +239,13 @@ def qw_b2_bound(basis_a, alpha: float, basis_b, beta: float) -> tuple[float, flo
     mv = majorization_vector(basis_a, basis_b)
     d = mv.dim
     device = device_uncertainty_white_noise(alpha, d) + device_uncertainty_white_noise(beta, d)
-    return _qw_b2(mv, min(alpha, beta), device)
+    return _qw_b2(mv, np.minimum(alpha, beta), device)
 
 
-def _qw_b2(mv: MajorizationVector, noisier: float, device: float) -> tuple[float, float]:
+def _qw_b2(mv: MajorizationVector, noisier, device):
     """Q(W) at noise level ``noisier`` and B2 = Q(W) + ``device``."""
-    qw = float(np.sum(_white_noise_kernel(mv.padded(), noisier, mv.dim)))
-    return qw, qw + device
+    qw = np.sum(_white_noise_kernel(mv.padded(), np.asarray(noisier)[..., None], mv.dim), axis=-1)
+    return float_or_array(qw), float_or_array(qw + device)
 
 
 def ad_coles_closed_form(e: float) -> float:

@@ -188,6 +188,7 @@ def cmd_verify(args) -> int:
         _emit_error("ConfigError", str(message), False)
         return EXIT_USAGE
     print(result.summary())
+    print(f"  worst at: {result.worst_label}")
     for message in result.messages:
         print(f"  {message}")
     return EXIT_OK if result.passed else EXIT_FAIL

@@ -32,19 +32,50 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _as_square_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
-def require_finite(a, what: str) -> np.ndarray:
+def float_or_array(x):
+    """A Python float for a 0-d result, the array itself otherwise.
+
+    Unbatched calls of the public functions return Python floats, so JSON and
+    CSV output is the same as for scalar code; batched calls return arrays.
+    """
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def in_unit_interval(x) -> bool:
+    """True when every entry of x lies in [0, 1]; NaN fails."""
+    x = np.asarray(x, dtype=float)
+    return x.size == 0 or bool(x.min() >= 0.0 and x.max() <= 1.0)
+
+
+def first_index(mask: np.ndarray) -> tuple[int, ...]:
+    """Multi-index of the first True entry of mask in C order (mask.any() holds)."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def item_prefix(kind: str, index: tuple[int, ...]) -> str:
+    """Message prefix naming a stack element: "" unstacked, "kind 3: ", "kind (1, 2): "."""
+    if not index:
+        return ""
+    return f"{kind} {index[0] if len(index) == 1 else index}: "
+
+
+def require_finite(a, what: str, core_ndim: int = 2) -> np.ndarray:
     """Return a unchanged, raising NotFinite if any entry is NaN or infinite.
 
+    The last core_ndim axes of a form one item and the leading axes index a
+    stack of them; for a stack the error names the first bad item in C order.
     Every tolerance check compares with < or >, which NaN always fails, so
     finiteness is checked first.
     """
-    if not np.all(np.isfinite(a)):
-        raise NotFinite(f"{what} has a NaN or infinite entry")
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = first_index(~finite.all(axis=tuple(range(-core_ndim, 0))))
+        raise NotFinite(f"{item_prefix('item', index)}{what} has a NaN or infinite entry")
     return a
 
 
@@ -69,17 +100,15 @@ def prob_tol(d: int) -> float:
 def require_hermitian(m, tol: float = TOL_HERMITIAN) -> np.ndarray:
     """Return m as a complex array, raising NotHermitian beyond tol.
 
-    m is one (d, d) matrix or a stack (n, d, d); for a stack the error names
-    the first matrix, in index order, whose defect exceeds tol.
+    m is one (d, d) matrix or a stack (..., d, d); for a stack the error names
+    the first matrix, in C order, whose defect exceeds tol.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    defect = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    bad = np.flatnonzero(defect > tol)
-    if bad.size:
-        where = f"matrix {bad[0]}: " if m.ndim == 3 else ""
-        raise NotHermitian(f"{where}max |m - m^dagger| entry is {defect.flat[bad[0]]:.3e} > {tol:.1e}")
+    m = _as_square_matrix(m)
+    defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = defect > tol
+    if bad.any():
+        index = first_index(bad)
+        raise NotHermitian(f"{item_prefix('matrix', index)}max |m - m^dagger| entry is {defect[index]:.3e} > {tol:.1e}")
     return m
 
 
@@ -97,15 +126,20 @@ def require_unit_vector(v, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
 def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
     """Check that the rows of basis form a complete orthonormal set.
 
-    Returns the basis as a (d, d) complex array whose rows are the vectors.
+    Returns the basis as a (..., d, d) complex array whose rows are the
+    vectors; for a stack of bases the error names the first bad one.
     """
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+    if basis.ndim < 2 or basis.shape[-1] != basis.shape[-2]:
         raise ValueError(f"expected d vectors of length d, got shape {basis.shape}")
-    gram = basis.conj() @ basis.T
-    defect = float(np.max(np.abs(gram - np.eye(basis.shape[0]))))
-    if not defect <= tol:
-        raise NotOrthonormal(f"max Gram-matrix deviation from identity is {defect:.3e} > {tol:.1e}")
+    gram = basis.conj() @ basis.swapaxes(-1, -2)
+    defect = abs(gram - np.eye(basis.shape[-1])).max(axis=(-2, -1))
+    ok = defect <= tol
+    if not ok.all():
+        index = first_index(~ok)
+        raise NotOrthonormal(
+            f"{item_prefix('basis', index)}max Gram-matrix deviation from identity is {defect[index]:.3e} > {tol:.1e}"
+        )
     return basis
 
 
@@ -113,8 +147,10 @@ def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
 class DensityMatrix:
     """Unit-trace positive semidefinite operator wrapping a (d, d) array.
 
-    Construct untrusted input through :func:`validate_density`, which checks
-    Hermiticity, positivity and trace before wrapping.
+    A (..., d, d) array wraps a stack of states; every function that takes a
+    state broadcasts its leading axes. Construct untrusted input through
+    :func:`validate_density`, which checks Hermiticity, positivity and trace
+    before wrapping.
     """
 
     matrix: np.ndarray
@@ -124,7 +160,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def __array__(self, dtype=None, copy=None):
         arr = self.matrix
@@ -138,16 +174,24 @@ class DensityMatrix:
 def validate_density(m) -> DensityMatrix:
     """Check finiteness, Hermiticity, positivity and unit trace, then wrap.
 
-    Raises NotFinite, NotHermitian, NotPositive or TraceNotOne naming the
-    violated invariant together with the measured violation.
+    m is one (d, d) matrix or a stack (..., d, d). Raises NotFinite,
+    NotHermitian, NotPositive or TraceNotOne naming the violated invariant
+    together with the measured violation; for a stack the message names the
+    first failing matrix in C order.
     """
     m = require_hermitian(require_finite(_as_square_matrix(m), "density matrix"))
-    lowest = float(np.min(np.linalg.eigvalsh(m)))
-    if lowest < -TOL_PSD:
-        raise NotPositive(f"lowest eigenvalue is {lowest:.3e} < -{TOL_PSD:.1e}")
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TOL_TRACE:
-        raise TraceNotOne(f"trace is {trace.real:.12f}, expected 1 within {TOL_TRACE:.1e}")
+    lowest = np.linalg.eigvalsh(m)[..., 0]
+    bad = lowest < -TOL_PSD
+    if bad.any():
+        index = first_index(bad)
+        raise NotPositive(f"{item_prefix('matrix', index)}lowest eigenvalue is {lowest[index]:.3e} < -{TOL_PSD:.1e}")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    bad = abs(trace - 1.0) > TOL_TRACE
+    if bad.any():
+        index = first_index(bad)
+        raise TraceNotOne(
+            f"{item_prefix('matrix', index)}trace is {trace[index].real:.12f}, expected 1 within {TOL_TRACE:.1e}"
+        )
     return DensityMatrix(m)
 
 

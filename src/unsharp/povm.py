@@ -22,6 +22,10 @@ from .linalg import (
     TOL_PSD,
     TOL_RECONSTRUCT,
     _frozen,
+    first_index,
+    float_or_array,
+    in_unit_interval,
+    item_prefix,
     require_finite,
     require_hermitian,
     require_orthonormal,
@@ -34,16 +38,19 @@ PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 @dataclass(frozen=True)
 class Povm:
-    """Validated POVM with the eigendecomposition of every effect.
+    """Validated POVM, or stack of POVMs, with the eigendecomposition of every effect.
 
-    All three arrays are read-only. ``effects`` has shape (n, d, d).
-    ``eigenvalues`` has shape (n, d): row i holds the eigenvalues of
-    ``effects[i]`` in ascending order, clamped into [0, 1] after the
-    positivity check (entropy weights are undefined off that interval).
-    ``eigenvectors`` has shape (n, d, d): column k of ``eigenvectors[i]`` is
-    the unit eigenvector of ``eigenvalues[i, k]``. Within a degenerate
-    eigenspace any orthonormal basis may appear; every quantity built from
-    the decomposition is independent of that choice.
+    All three arrays are read-only. ``effects`` has shape (..., n, d, d): the
+    leading axes index a stack of POVMs that every function taking a POVM
+    broadcasts, and are absent for a single POVM. ``eigenvalues`` has shape
+    (..., n, d): row i holds the eigenvalues of ``effects[..., i, :, :]`` in
+    ascending order, clamped into [0, 1] after the positivity check (entropy
+    weights are undefined off that interval). ``eigenvectors`` has shape
+    (..., n, d, d): column k of ``eigenvectors[..., i, :, :]`` is the unit
+    eigenvector of ``eigenvalues[..., i, k]``. Within a degenerate eigenspace
+    any orthonormal basis may appear; every quantity built from the
+    decomposition is independent of that choice. Validation runs on every
+    POVM of a stack and names the first failing one in C order.
     """
 
     effects: np.ndarray
@@ -52,24 +59,25 @@ class Povm:
 
     def __post_init__(self):
         effects = np.asarray(self.effects, dtype=complex)
-        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-            raise ValueError(f"expected an (n, d, d) effect array, got shape {effects.shape}")
-        if effects.shape[0] == 0:
+        if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
+            raise ValueError(f"expected an (..., n, d, d) effect array, got shape {effects.shape}")
+        if effects.shape[-3] == 0:
             raise ValueError("a POVM needs at least one effect")
-        effects = require_hermitian(require_finite(effects, "POVM effect array"))
+        effects = require_hermitian(require_finite(effects, "POVM effect array", core_ndim=3))
         eigenvalues, eigenvectors = np.linalg.eigh(effects)
-        low, high = eigenvalues[:, 0], eigenvalues[:, -1]
-        bad = np.flatnonzero((low < -TOL_PSD) | (high > 1.0 + TOL_PSD))
-        if bad.size:
-            i = bad[0]
+        low, high = eigenvalues[..., 0], eigenvalues[..., -1]
+        bad = (low < -TOL_PSD) | (high > 1.0 + TOL_PSD)
+        if bad.any():
+            i = first_index(bad)
             if low[i] < -TOL_PSD:
-                raise NotPositive(f"effect {i}: lowest eigenvalue {low[i]:.3e} < -{TOL_PSD:.1e}")
-            raise EigenvalueAboveOne(f"effect {i}: largest eigenvalue {high[i]:.12f} > 1")
-        d = effects.shape[1]
-        residual = float(np.max(np.abs(effects.sum(axis=0) - np.eye(d))))
-        if residual > TOL_RECONSTRUCT:
+                raise NotPositive(f"{item_prefix('effect', i)}lowest eigenvalue {low[i]:.3e} < -{TOL_PSD:.1e}")
+            raise EigenvalueAboveOne(f"{item_prefix('effect', i)}largest eigenvalue {high[i]:.12f} > 1")
+        residual = _completeness_residual(effects)
+        bad = residual > TOL_RECONSTRUCT
+        if bad.any():
+            i = first_index(bad)
             raise CompletenessViolated(
-                f"effects sum to identity with max residual {residual:.3e} > {TOL_RECONSTRUCT:.1e}"
+                f"{item_prefix('POVM', i)}effects sum to identity with max residual {residual[i]:.3e} > {TOL_RECONSTRUCT:.1e}"
             )
         object.__setattr__(self, "effects", _frozen(effects))
         object.__setattr__(self, "eigenvalues", _frozen(np.clip(eigenvalues, 0.0, 1.0)))
@@ -77,15 +85,24 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.effects.shape[1]
+        return self.effects.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
-        return self.effects.shape[0]
+        return self.effects.shape[-3]
 
-    def completeness_residual(self) -> float:
-        """Max entrywise deviation of the effect sum from identity."""
-        return float(np.max(np.abs(self.effects.sum(axis=0) - np.eye(self.dim))))
+    def completeness_residual(self):
+        """Max entrywise deviation of the effect sum from identity, per POVM.
+
+        A float for a single POVM, an array of the stack's shape otherwise.
+        """
+        return float_or_array(_completeness_residual(self.effects))
+
+
+def _completeness_residual(effects: np.ndarray) -> np.ndarray:
+    """max |sum_i A_i - I| entry of (..., n, d, d) effects, shape (...)."""
+    d = effects.shape[-1]
+    return abs(effects.sum(axis=-3) - np.eye(d)).max(axis=(-2, -1))
 
 
 def make_povm(effects) -> Povm:
@@ -93,10 +110,17 @@ def make_povm(effects) -> Povm:
     return Povm(np.stack([np.asarray(e, dtype=complex) for e in effects]))
 
 
+def _projectors(basis: np.ndarray) -> np.ndarray:
+    """|a_i><a_i| for the rows of a (..., d, d) basis, shape (..., d, d, d)."""
+    return np.einsum("...ni,...nj->...nij", basis, basis.conj())
+
+
 def projective_from_basis(basis) -> Povm:
-    """Rank-1 projector POVM |a_i><a_i| in basis order (a sharp measurement)."""
-    basis = require_orthonormal(basis)
-    return Povm(np.einsum("ni,nj->nij", basis, basis.conj()))
+    """Rank-1 projector POVM |a_i><a_i| in basis order (a sharp measurement).
+
+    A (..., d, d) stack of bases gives a stack of POVMs.
+    """
+    return Povm(_projectors(require_orthonormal(basis)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +166,7 @@ def qubit_povm(params: QubitPovmParams) -> Povm:
     return Povm(np.stack([up, np.eye(2) - up]))
 
 
-def white_noise_povm(basis, alpha: float) -> Povm:
+def white_noise_povm(basis, alpha) -> Povm:
     """Sharp basis measurement mixed with white noise.
 
     Each effect is alpha |a_i><a_i| + (1 - alpha) I / d, so its spectrum is
@@ -150,17 +174,19 @@ def white_noise_povm(basis, alpha: float) -> Povm:
 
     Parameters
     ----------
-    basis : (d, d) array
+    basis : (..., d, d) array
         Rows are the orthonormal measurement directions.
-    alpha : float
-        Mixedness parameter in [0, 1]; 1 is sharp, 0 is pure noise.
+    alpha : float or (...) array
+        Mixedness parameter in [0, 1]; 1 is sharp, 0 is pure noise. Its
+        shape broadcasts against the leading axes of basis, and the result
+        is a stack of POVMs of the broadcast shape.
     """
     basis = require_orthonormal(basis)
-    if not 0.0 <= alpha <= 1.0:
+    if not in_unit_interval(alpha):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    d = basis.shape[0]
-    projectors = np.einsum("ni,nj->nij", basis, basis.conj())
-    return Povm(alpha * projectors + (1.0 - alpha) * np.eye(d) / d)
+    d = basis.shape[-1]
+    a = np.asarray(alpha, dtype=float)[..., None, None, None]
+    return Povm(a * _projectors(basis) + (1.0 - a) * np.eye(d) / d)
 
 
 def amplitude_damping_povm(basis, e: float) -> Povm:
@@ -180,17 +206,23 @@ def amplitude_damping_povm(basis, e: float) -> Povm:
         raise DimensionMismatch(f"amplitude damping model needs a d=3 basis, got d={basis.shape[0]}")
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"transition probability e must be in [0, 1], got {e}")
-    p = np.einsum("ni,nj->nij", basis, basis.conj())
+    p = _projectors(basis)
     return Povm(np.stack([p[0] + e * p[1] + e * p[2], (1.0 - e) * p[1], (1.0 - e) * p[2]]))
 
 
-def convex_combination(a: Povm, b: Povm, p: float) -> Povm:
-    """Coin-flip mixture of two POVMs: effects {p A_1..A_n, (1-p) B_1..B_m}."""
+def convex_combination(a: Povm, b: Povm, p) -> Povm:
+    """Coin-flip mixture of two POVMs: effects {p A_1..A_n, (1-p) B_1..B_m}.
+
+    The stack shapes of a and b and the shape of p broadcast together.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
-    if not 0.0 <= p <= 1.0:
+    if not in_unit_interval(p):
         raise ValueError(f"mixing probability must be in [0, 1], got {p}")
-    return Povm(np.concatenate([p * a.effects, (1.0 - p) * b.effects]))
+    q = np.asarray(p, dtype=float)[..., None, None, None]
+    parts = (q * a.effects, (1.0 - q) * b.effects)
+    batch = np.broadcast_shapes(*(part.shape[:-3] for part in parts))
+    return Povm(np.concatenate([np.broadcast_to(part, batch + part.shape[-3:]) for part in parts], axis=-3))
 
 
 def mub_fourier_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,21 @@
 """Randomized property suites behind the CLI verify subcommand.
 
 Each suite draws seeded random scenarios, checks the relevant inequalities or
-identities, and reports check counts, failures and the worst slack observed.
-A slack is lhs - rhs of an inequality lhs >= rhs; identities record the
-negated absolute deviation, so the worst slack is always "distance from
-violation" and suites pass when no slack falls below its tolerance.
+identities, and reports check counts, failures and the worst slack observed
+with its location. A slack is lhs - rhs of an inequality lhs >= rhs;
+identities record the negated absolute deviation, so the worst slack is
+always "distance from violation" and suites pass when no slack falls below
+its tolerance.
+
+Trials are drawn and evaluated as stacks: one call per block of trials that
+share a dimension and outcome count. A seed therefore reproduces its
+scenarios within one version of the package, not across versions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +46,14 @@ from .uncertainty import (
 )
 from .sweeps import spin_basis
 
+MAX_MESSAGES = 20
+# Trials per stacked call. Every suite draws and evaluates its trials in blocks
+# of at most BLOCK, so the arrays of one call, and with them the peak memory of
+# a run, do not grow with the trial count; only the per-trial keys (sizes and
+# scalar parameters) do. Larger blocks amortize the per-call cost; at 64 the
+# temporaries of one call stay under about 100 kB (d = 4, n = 5).
+BLOCK = 64
+
 
 @dataclass
 class SuiteResult:
@@ -49,20 +63,31 @@ class SuiteResult:
     checks: int = 0
     failures: int = 0
     worst_slack: float = np.inf
+    worst_label: str = ""
     messages: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, slack: float, tol: float, label: str) -> None:
-        self.checks += 1
-        if slack < self.worst_slack:
-            self.worst_slack = slack
-        if slack < -tol:
-            self.failures += 1
-            if len(self.messages) < 20:
-                self.messages.append(f"{label}: slack {slack:.3e} < -{tol:.1e}")
+    def record(self, slack, tol: float, label: Callable[[int], str]) -> None:
+        """Record an array of slacks; a NaN slack counts as a failure.
+
+        ``label(i)`` names slack i; it is called only for failures and for a
+        new worst slack.
+        """
+        slack = np.ravel(slack)
+        if slack.size == 0:
+            return
+        self.checks += slack.size
+        i = int(np.argmin(slack))  # the first NaN, if there is one
+        if slack[i] < self.worst_slack or (np.isnan(slack[i]) and not np.isnan(self.worst_slack)):
+            self.worst_slack = float(slack[i])
+            self.worst_label = label(i)
+        bad = np.flatnonzero(~(slack >= -tol))
+        self.failures += bad.size
+        for j in bad[: max(0, MAX_MESSAGES - len(self.messages))]:
+            self.messages.append(f"{label(j)}: slack {slack[j]:.3e} < -{tol:.1e}")
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -73,23 +98,49 @@ class SuiteResult:
         )
 
 
+def _groups(trials: int, *keys: np.ndarray):
+    """Yield (key, trial indices) in blocks of at most BLOCK trials.
+
+    Trials are grouped by their (d, n, ...) key, one entry of each array in
+    keys per trial (no keys: one group), groups in ascending key order and
+    trials in ascending order within a group. Every trial draws its sizes
+    first; each block then draws its POVMs and states as one stack, so every
+    trial keeps its distribution.
+    """
+    table = np.stack([np.zeros(trials, dtype=int), *keys], axis=-1)
+    order = np.lexsort(table.T[::-1])  # stable: ascending trials within a key
+    table = table[order]
+    starts = np.flatnonzero((table[1:] != table[:-1]).any(axis=-1)) + 1
+    for first, group in zip(np.r_[0, starts], np.split(order, starts)):
+        key = tuple(table[first, 1:].tolist())
+        for start in range(0, group.size, BLOCK):
+            yield key, group[start : start + BLOCK]
+
+
 def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """H >= D >= minD >= resolution bound on random states and POVMs."""
     result = SuiteResult("chain", trials, seed)
     rng = np.random.default_rng(seed)
     for d in (2, 3, 4):
-        for trial in range(trials):
-            povm = random_povm(d, int(rng.integers(2, d + 2)), rng)
-            rho = random_pure_state(d, rng) if trial % 2 else random_mixed_state(d, rng)
+        n_outcomes = rng.integers(2, d + 2, size=trials)
+        for (n,), idx in _groups(trials, n_outcomes):
+            povm = random_povm(d, n, rng, size=idx.size)
+            odd = idx % 2 == 1  # odd trials take a pure state, even ones a mixed state
+            rho = np.empty((idx.size, d, d), dtype=complex)
+            rho[odd] = random_pure_state(d, rng, size=int(odd.sum())).matrix
+            rho[~odd] = random_mixed_state(d, rng, size=int((~odd).sum())).matrix
             entropy = shannon_entropy(outcome_probs(rho, povm))
             dev = device_uncertainty(rho, povm)
             floor = min_device_uncertainty(povm)
             resolution = krishna_bound(povm)
-            label = f"d={d} trial={trial}"
-            result.record(entropy - dev, 1e-9, f"{label} H>=D")
-            result.record(dev - floor, 1e-9, f"{label} D>=minD")
-            result.record(floor - resolution, 1e-9, f"{label} minD>=resolution")
-            result.record(dev, 1e-9, f"{label} D>=0")
+
+            def label(check):
+                return lambda i: f"d={d} trial={idx[i]} {check}"
+
+            result.record(entropy - dev, 1e-9, label("H>=D"))
+            result.record(dev - floor, 1e-9, label("D>=minD"))
+            result.record(floor - resolution, 1e-9, label("minD>=resolution"))
+            result.record(dev, 1e-9, label("D>=0"))
     return result
 
 
@@ -98,25 +149,24 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
     result = SuiteResult("majorization", trials, seed)
     rng = np.random.default_rng(seed)
     for d in (2, 3):
-        for trial in range(trials):
-            basis_a = random_basis(d, rng)
-            basis_b = random_basis(d, rng)
-            rho = random_pure_state(d, rng)
+        for _, idx in _groups(trials):
+            basis_a = random_basis(d, rng, size=idx.size)
+            basis_b = random_basis(d, rng, size=idx.size)
+            rho = random_pure_state(d, rng, size=idx.size)
             pa = outcome_probs(rho, projective_from_basis(basis_a))
             pb = outcome_probs(rho, projective_from_basis(basis_b))
             mv = majorization_vector(basis_a, basis_b)
-            merged = np.sort(np.concatenate([pa, pb]))[::-1]
-            comparison = np.sort(np.concatenate([[1.0], mv.W]))[::-1]
-            label = f"d={d} trial={trial}"
-            partial_gap = float(np.min(np.cumsum(comparison) - np.cumsum(merged)))
-            result.record(partial_gap, 1e-9, f"{label} partial sums")
+            merged = np.sort(np.concatenate([pa, pb], axis=-1), axis=-1)[:, ::-1]
+            comparison = np.sort(np.concatenate([np.ones((idx.size, 1)), mv.W], axis=-1), axis=-1)[:, ::-1]
+
+            def label(check):
+                return lambda i: f"d={d} trial={idx[i]} {check}"
+
+            partial_gap = (np.cumsum(comparison, axis=-1) - np.cumsum(merged, axis=-1)).min(axis=-1)
+            result.record(partial_gap, 1e-9, label("partial sums"))
+            result.record(-abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), 1e-9, label("equal totals"))
             result.record(
-                -abs(float(merged.sum() - comparison.sum())), 1e-9, f"{label} equal totals"
-            )
-            result.record(
-                shannon_entropy(pa) + shannon_entropy(pb) - hw_bound(mv),
-                1e-9,
-                f"{label} H_A+H_B>=H(W)",
+                shannon_entropy(pa) + shannon_entropy(pb) - hw_bound(mv), 1e-9, label("H_A+H_B>=H(W)")
             )
     return result
 
@@ -125,21 +175,27 @@ def suite_convexity(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Mixture identities: D gains exactly H_bin(p) and Q mixes linearly."""
     result = SuiteResult("convexity", trials, seed)
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        d = int(rng.integers(2, 4))
-        a = random_povm(d, int(rng.integers(2, 4)), rng)
-        b = random_povm(d, int(rng.integers(2, 4)), rng)
-        p = float(rng.uniform())
-        rho = random_pure_state(d, rng)
+    dims = rng.integers(2, 4, size=trials)
+    n_a = rng.integers(2, 4, size=trials)
+    n_b = rng.integers(2, 4, size=trials)
+    weights = rng.uniform(size=trials)
+    for (d, na, nb), idx in _groups(trials, dims, n_a, n_b):
+        a = random_povm(d, na, rng, size=idx.size)
+        b = random_povm(d, nb, rng, size=idx.size)
+        rho = random_pure_state(d, rng, size=idx.size)
+        p = weights[idx]
         mixed = convex_combination(a, b, p)
         gain = binary_entropy(p)
         d_direct = device_uncertainty(rho, mixed)
         d_expected = p * device_uncertainty(rho, a) + (1 - p) * device_uncertainty(rho, b) + gain
         q_direct = quantum_uncertainty(rho, mixed)
         q_expected = p * quantum_uncertainty(rho, a) + (1 - p) * quantum_uncertainty(rho, b)
-        label = f"trial={trial} d={d} p={p:.3f}"
-        result.record(-abs(d_direct - d_expected), 1e-12, f"{label} D identity")
-        result.record(-abs(q_direct - q_expected), 1e-12, f"{label} Q identity")
+
+        def label(check):
+            return lambda i: f"trial={idx[i]} d={d} p={p[i]:.3f} {check}"
+
+        result.record(-abs(d_direct - d_expected), 1e-12, label("D identity"))
+        result.record(-abs(q_direct - q_expected), 1e-12, label("Q identity"))
     return result
 
 
@@ -147,15 +203,16 @@ def suite_whitenoise(trials: int = 100, seed: int = 0) -> SuiteResult:
     """State independence and the closed form of white-noise unsharpness."""
     result = SuiteResult("whitenoise", trials, seed)
     rng = np.random.default_rng(seed)
+    alphas = np.linspace(0.0, 1.0, 11)
     for d in range(2, 7):
-        basis = random_basis(d, rng)
-        for alpha in np.linspace(0.0, 1.0, 11):
-            povm = white_noise_povm(basis, float(alpha))
-            closed = device_uncertainty_white_noise(float(alpha), d)
-            worst = 0.0
-            for _ in range(trials):
-                worst = max(worst, abs(device_uncertainty(random_pure_state(d, rng), povm) - closed))
-            result.record(-worst, 1e-10, f"d={d} alpha={alpha:.1f} state independence")
+        povm = white_noise_povm(random_basis(d, rng), alphas)
+        closed = device_uncertainty_white_noise(alphas, d)
+        # Every alpha is checked on the same random states: (block, 1) x (11,).
+        worst = np.zeros_like(alphas)
+        for _, idx in _groups(trials):
+            rho = random_pure_state(d, rng, size=(idx.size, 1))
+            worst = np.maximum(worst, abs(device_uncertainty(rho, povm) - closed).max(axis=0))
+        result.record(-worst, 1e-10, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence")
     return result
 
 
@@ -163,22 +220,23 @@ def suite_validity(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Entropy sums dominate B1, B2 and -log2 C for white-noise spin pairs."""
     result = SuiteResult("validity", trials, seed)
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        theta = float(rng.uniform(0.0, np.pi))
-        alpha = float(rng.uniform())
-        beta = float(rng.uniform())
+    thetas = rng.uniform(0.0, np.pi, size=trials)
+    alphas = rng.uniform(size=trials)
+    betas = rng.uniform(size=trials)
+    basis_b = np.eye(2, dtype=complex)
+    for _, idx in _groups(trials):
+        theta, alpha, beta = thetas[idx], alphas[idx], betas[idx]
         basis_a = spin_basis(theta)
-        basis_b = np.eye(2, dtype=complex)
         pa = white_noise_povm(basis_a, alpha)
         pb = white_noise_povm(basis_b, beta)
-        rho = random_pure_state(2, rng)
+        rho = random_pure_state(2, rng, size=idx.size)
         entropy_sum = shannon_entropy(outcome_probs(rho, pa)) + shannon_entropy(outcome_probs(rho, pb))
         _, b2 = qw_b2_bound(basis_a, alpha, basis_b, beta)
-        strongest = max(b1_bound(basis_a, alpha, basis_b, beta), b2, coles_bound(pa, pb))
+        strongest = np.maximum(np.maximum(b1_bound(basis_a, alpha, basis_b, beta), b2), coles_bound(pa, pb))
         result.record(
             entropy_sum - strongest,
             1e-9,
-            f"trial={trial} theta={theta:.3f} alpha={alpha:.3f} beta={beta:.3f}",
+            lambda i: f"trial={idx[i]} theta={theta[i]:.3f} alpha={alpha[i]:.3f} beta={beta[i]:.3f}",
         )
     return result
 
@@ -187,13 +245,15 @@ def suite_coles(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Entropy sums dominate -log2 C for unstructured random POVM pairs."""
     result = SuiteResult("coles", trials, seed)
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        d = int(rng.integers(2, 4))
-        a = random_povm(d, int(rng.integers(2, 5)), rng)
-        b = random_povm(d, int(rng.integers(2, 5)), rng)
-        rho = random_pure_state(d, rng)
+    dims = rng.integers(2, 4, size=trials)
+    n_a = rng.integers(2, 5, size=trials)
+    n_b = rng.integers(2, 5, size=trials)
+    for (d, na, nb), idx in _groups(trials, dims, n_a, n_b):
+        a = random_povm(d, na, rng, size=idx.size)
+        b = random_povm(d, nb, rng, size=idx.size)
+        rho = random_pure_state(d, rng, size=idx.size)
         entropy_sum = shannon_entropy(outcome_probs(rho, a)) + shannon_entropy(outcome_probs(rho, b))
-        result.record(entropy_sum - coles_bound(a, b), 1e-9, f"trial={trial} d={d}")
+        result.record(entropy_sum - coles_bound(a, b), 1e-9, lambda i: f"trial={idx[i]} d={d}")
     return result
 
 
@@ -201,19 +261,21 @@ def suite_dualmap(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Noisy-state and noisy-measurement outcome probabilities coincide."""
     result = SuiteResult("dualmap", trials, seed)
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        d = int(rng.integers(2, 5))
-        alpha = float(rng.uniform())
-        basis = random_basis(d, rng)
-        psi = random_state_vector(d, rng)
-        rho_noisy = alpha * np.outer(psi, psi.conj()) + (1 - alpha) * np.eye(d) / d
-        noisy_probs = np.einsum("ni,ij,nj->n", basis.conj(), rho_noisy, basis).real
-        povm = white_noise_povm(basis, alpha)
-        sharp_probs = outcome_probs(np.outer(psi, psi.conj()), povm)
+    dims = rng.integers(2, 5, size=trials)
+    alphas = rng.uniform(size=trials)
+    for (d,), idx in _groups(trials, dims):
+        alpha = alphas[idx]
+        basis = random_basis(d, rng, size=idx.size)
+        psi = random_state_vector(d, rng, size=idx.size)
+        pure = np.einsum("...i,...j->...ij", psi, psi.conj())
+        a = alpha[:, None, None]
+        rho_noisy = a * pure + (1 - a) * np.eye(d) / d
+        noisy_probs = np.einsum("...ni,...ij,...nj->...n", basis.conj(), rho_noisy, basis).real
+        sharp_probs = outcome_probs(pure, white_noise_povm(basis, alpha))
         result.record(
-            -float(np.max(np.abs(noisy_probs - sharp_probs))),
+            -abs(noisy_probs - sharp_probs).max(axis=-1),
             1e-12,
-            f"trial={trial} d={d} alpha={alpha:.3f}",
+            lambda i: f"trial={idx[i]} d={d} alpha={alpha[i]:.3f}",
         )
     return result
 

@@ -105,10 +105,14 @@ class SweepResult:
             handle.write("\n".join(self.csv_lines()) + "\n")
 
 
-def spin_basis(theta: float) -> np.ndarray:
-    """Orthonormal qubit basis along the direction (sin theta, 0, cos theta)."""
+def spin_basis(theta) -> np.ndarray:
+    """Orthonormal qubit basis along the direction (sin theta, 0, cos theta).
+
+    An array of angles (...) gives a (..., 2, 2) stack of bases.
+    """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, s], [-s, c]], dtype=complex)
+    basis = np.array([[c, s], [-s, c]], dtype=complex)
+    return basis.transpose(*range(2, basis.ndim), 0, 1)
 
 
 def _refine_crossing(diff, lo: float, hi: float, tol: float = CROSSOVER_TOL) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from unsharp.linalg import DensityMatrix
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
+from unsharp.suites import SUITES
 
 
 @pytest.fixture
@@ -242,3 +244,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "suite=dualmap" in out
         assert "worst_slack=" in out
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_worst_slack_location_line(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--trials", "12", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.match(rf"^suite={suite} .*checks=\d+ failures=0 .* PASS$", lines[0])
+        assert re.match(r"^  worst at: \S.*\S$", lines[1])
+        if suite == "chain":
+            assert re.match(r"^  worst at: d=[234] trial=\d+ (H>=D|D>=minD|minD>=resolution|D>=0)$", lines[1])

@@ -47,9 +47,7 @@ class TestRandomPureState:
     def test_mean_approaches_maximally_mixed(self):
         rng = np.random.default_rng(8)
         d, samples = 2, 100_000
-        total = np.zeros((d, d), dtype=complex)
-        for _ in range(samples):
-            total += random_pure_state(d, rng).matrix
+        total = random_pure_state(d, rng, size=samples).matrix.sum(axis=0)
         np.testing.assert_allclose(total / samples, np.eye(d) / d, atol=0.01)
 
 
@@ -78,9 +76,8 @@ class TestRandomBasis:
         rng = np.random.default_rng(11)
         d, draws = 2, 100_000
         v = np.array([1.0, 0.0], dtype=complex)
-        total = 0.0
-        for _ in range(draws):
-            total += float(np.abs(np.vdot(v, random_basis(d, rng)[0])) ** 2)
+        first_vectors = random_basis(d, rng, size=draws)[:, 0]
+        total = float(np.sum(np.abs(first_vectors @ v.conj()) ** 2))
         assert total / draws == pytest.approx(1.0 / d, abs=0.01)
 
 
@@ -141,15 +138,30 @@ class TestSampledMin:
         assert dense - floor < 0.01
 
 
+class ZeroRng(np.random.Generator):
+    """A generator whose normal() always returns zeros: every draw is degenerate."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def normal(self, *args, **kwargs):
+        result = super().normal(*args, **kwargs)
+        return np.zeros_like(np.asarray(result))
+
+
 class TestDegenerateDrawSurface:
     def test_exhausted_retries_raise(self):
-        class ZeroRng(np.random.Generator):
-            def __init__(self):
-                super().__init__(np.random.PCG64(0))
-
-            def normal(self, *args, **kwargs):
-                result = super().normal(*args, **kwargs)
-                return np.zeros_like(np.asarray(result))
-
         with pytest.raises(DegenerateDraw):
             random_state_vector(2, ZeroRng())
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: random_state_vector(2, rng, size=3),
+            lambda rng: random_basis(2, rng, size=3),
+            lambda rng: random_povm(2, 2, rng, size=3),
+        ],
+    )
+    def test_exhausted_retries_raise_for_stacks(self, draw):
+        with pytest.raises(DegenerateDraw):
+            draw(ZeroRng())

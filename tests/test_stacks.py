@@ -1,0 +1,434 @@
+"""Leading stack axes: one call on a stack equals one call per item.
+
+Every function that accepts stacks of states, POVMs, bases or noise levels is
+compared with a Python loop of unstacked calls (1e-12), unstacked calls must
+return Python floats, and a bad item in a stack must raise the unstacked
+error type naming the item's index.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from unsharp import bounds, suites
+from unsharp.errors import (
+    CompletenessViolated,
+    EigenvalueAboveOne,
+    NotFinite,
+    NotHermitian,
+    NotOrthonormal,
+    NotPositive,
+    TraceNotOne,
+)
+from unsharp.linalg import DensityMatrix, validate_density
+from unsharp.povm import Povm, convex_combination, projective_from_basis, white_noise_povm
+from unsharp.sampling import (
+    random_basis,
+    random_mixed_state,
+    random_povm,
+    random_pure_state,
+    random_state_vector,
+    sampled_min,
+)
+from unsharp.suites import SuiteResult, suite_chain
+from unsharp.sweeps import spin_basis
+from unsharp.uncertainty import (
+    binary_entropy,
+    device_uncertainty,
+    device_uncertainty_operator,
+    outcome_probs,
+    quantum_uncertainty,
+    shannon_entropy,
+)
+
+TOL = 1e-12
+STACK = 5
+
+
+def povm_items(povm: Povm) -> list[Povm]:
+    """The POVMs of a 1-D stack, rebuilt one by one."""
+    return [Povm(e) for e in povm.effects]
+
+
+def assert_stack(stacked, singles):
+    assert isinstance(stacked, np.ndarray)
+    np.testing.assert_allclose(stacked, np.array(singles), atol=TOL, rtol=0)
+
+
+@pytest.fixture(params=[2, 3, 4])
+def d(request):
+    return request.param
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(2024)
+
+
+class TestPovmStacks:
+    def test_spectra_match_single_construction(self, d, rng):
+        stack = random_povm(d, 3, rng, size=STACK)
+        assert stack.effects.shape == (STACK, 3, d, d)
+        assert stack.eigenvalues.shape == (STACK, 3, d)
+        assert stack.eigenvectors.shape == (STACK, 3, d, d)
+        for i, single in enumerate(povm_items(stack)):
+            np.testing.assert_allclose(stack.eigenvalues[i], single.eigenvalues, atol=TOL, rtol=0)
+            w, v = stack.eigenvalues[i], stack.eigenvectors[i]
+            np.testing.assert_allclose(
+                np.einsum("nk,nik,njk->nij", w, v, v.conj()), single.effects, atol=1e-10, rtol=0
+            )
+
+    def test_two_stack_axes(self, rng):
+        stack = random_povm(2, 2, rng, size=(2, 3))
+        assert stack.effects.shape == (2, 3, 2, 2, 2)
+        assert stack.dim == 2 and stack.n_outcomes == 2
+        assert stack.completeness_residual().shape == (2, 3)
+
+    def test_completeness_residual_float_or_stack(self, rng):
+        stack = random_povm(3, 4, rng, size=STACK)
+        assert_stack(stack.completeness_residual(), [p.completeness_residual() for p in povm_items(stack)])
+        assert type(povm_items(stack)[0].completeness_residual()) is float
+
+    def test_projective_and_white_noise(self, d, rng):
+        bases = random_basis(d, rng, size=STACK)
+        alphas = rng.uniform(size=STACK)
+        for stack, singles in (
+            (projective_from_basis(bases), [projective_from_basis(b) for b in bases]),
+            (white_noise_povm(bases, alphas), [white_noise_povm(b, a) for b, a in zip(bases, alphas)]),
+        ):
+            np.testing.assert_allclose(stack.effects, [p.effects for p in singles], atol=TOL, rtol=0)
+
+    def test_white_noise_alpha_grid_on_one_basis(self, rng):
+        basis = random_basis(3, rng)
+        alphas = np.linspace(0.0, 1.0, 4)
+        stack = white_noise_povm(basis, alphas)
+        assert stack.effects.shape == (4, 3, 3, 3)
+        np.testing.assert_allclose(stack.effects[2], white_noise_povm(basis, alphas[2]).effects, atol=TOL)
+
+    def test_convex_combination(self, rng):
+        a = random_povm(2, 2, rng, size=STACK)
+        b = random_povm(2, 3, rng, size=STACK)
+        p = rng.uniform(size=STACK)
+        mixed = convex_combination(a, b, p)
+        assert mixed.effects.shape == (STACK, 5, 2, 2)
+        for i, (pa, pb) in enumerate(zip(povm_items(a), povm_items(b))):
+            np.testing.assert_allclose(mixed.effects[i], convex_combination(pa, pb, p[i]).effects, atol=TOL)
+
+    def test_out_of_range_parameter_in_stack(self, rng):
+        basis = random_basis(2, rng)
+        with pytest.raises(ValueError, match="alpha"):
+            white_noise_povm(basis, np.array([0.5, 1.5]))
+        a = random_povm(2, 2, rng)
+        with pytest.raises(ValueError, match="mixing probability"):
+            convex_combination(a, a, np.array([0.2, np.nan]))
+
+
+class TestStackedValidationErrors:
+    def good(self):
+        return np.stack([np.stack([np.eye(2) / 2, np.eye(2) / 2])] * 3)
+
+    def test_not_positive_names_povm_and_effect(self):
+        effects = self.good()
+        effects[1] = [np.diag([-0.2, 0.2]), np.diag([1.2, 0.8])]
+        with pytest.raises(NotPositive, match=re.escape("effect (1, 0):")):
+            Povm(effects)
+
+    def test_above_one_names_povm_and_effect(self):
+        effects = self.good()
+        effects[2] = [np.diag([0.0, 0.5]), np.diag([1.0, 0.5])]
+        effects[2, 1, 0, 0] = 1.5
+        effects[2, 0, 0, 0] = -0.5
+        # effect (2, 0) is not positive and comes first in C order
+        with pytest.raises(NotPositive, match=re.escape("effect (2, 0):")):
+            Povm(effects)
+        effects[2, 0, 0, 0] = 0.0
+        with pytest.raises(EigenvalueAboveOne, match=re.escape("effect (2, 1):")):
+            Povm(effects)
+
+    def test_completeness_names_povm(self):
+        effects = self.good()
+        effects[2, 0] *= 1.1
+        with pytest.raises(CompletenessViolated, match="^POVM 2: "):
+            Povm(effects)
+
+    def test_hermiticity_and_finiteness_name_the_item(self):
+        effects = self.good()
+        effects[1, 1, 0, 1] = 0.1
+        with pytest.raises(NotHermitian, match=re.escape("matrix (1, 1):")):
+            Povm(effects)
+        effects = self.good()
+        effects[2, 0, 1, 1] = np.nan
+        with pytest.raises(NotFinite, match="^item 2: POVM effect array has"):
+            Povm(effects)
+
+    def test_validate_density_stack(self):
+        good = np.stack([np.eye(2) / 2] * 3)
+        assert validate_density(good).matrix.shape == (3, 2, 2)
+        assert DensityMatrix(good).dim == 2
+        cases = [
+            (NotFinite, "item 1: density matrix has", (1, 0, 0), np.inf),
+            (NotHermitian, "matrix 2:", (2, 0, 1), 0.3),
+            (NotPositive, "matrix 1:", (1, 0, 0), -0.5),
+            (TraceNotOne, "matrix 2:", (2, 1, 1), 0.6),
+        ]
+        for error, message, entry, value in cases:
+            bad = good.copy()
+            bad[entry] = value
+            if error is NotPositive:
+                bad[1, 1, 1] = 1.5
+            with pytest.raises(error, match=re.escape(message)):
+                validate_density(bad)
+
+    def test_unstacked_messages_name_no_item(self):
+        with pytest.raises(NotPositive, match="^lowest eigenvalue"):
+            validate_density(np.diag([1.5, -0.5]))
+        with pytest.raises(CompletenessViolated, match="^effects sum"):
+            Povm(np.stack([np.eye(2), np.eye(2)]))
+
+    def test_orthonormality_names_basis(self, rng):
+        bases = random_basis(2, rng, size=3)
+        bases[1, 0] *= 2.0
+        with pytest.raises(NotOrthonormal, match="^basis 1: "):
+            projective_from_basis(bases)
+
+
+class TestUncertaintyStacks:
+    def test_states_against_matching_povms(self, d, rng):
+        povms = random_povm(d, d + 1, rng, size=STACK)
+        rho = random_mixed_state(d, rng, size=STACK)
+        pairs = list(zip(rho.matrix, povm_items(povms)))
+        probs = outcome_probs(rho, povms)
+        assert probs.shape == (STACK, d + 1)
+        assert_stack(probs, [outcome_probs(r, p) for r, p in pairs])
+        assert_stack(shannon_entropy(probs), [shannon_entropy(outcome_probs(r, p)) for r, p in pairs])
+        assert_stack(device_uncertainty(rho, povms), [device_uncertainty(r, p) for r, p in pairs])
+        assert_stack(quantum_uncertainty(rho, povms), [quantum_uncertainty(r, p) for r, p in pairs])
+        assert_stack(
+            device_uncertainty_operator(povms), [device_uncertainty_operator(p) for p in povm_items(povms)]
+        )
+
+    def test_one_povm_against_a_state_stack(self, d, rng):
+        povm = random_povm(d, 3, rng)
+        rho = random_pure_state(d, rng, size=(2, STACK))
+        values = device_uncertainty(rho, povm)
+        assert values.shape == (2, STACK)
+        assert_stack(values, [[device_uncertainty(r, povm) for r in row] for row in rho.matrix])
+        assert_stack(
+            quantum_uncertainty(rho, povm), [[quantum_uncertainty(r, povm) for r in row] for row in rho.matrix]
+        )
+
+    def test_state_stack_against_povm_grid(self, rng):
+        # states (s, 1, d, d) against POVMs (k,) broadcast to (s, k)
+        povms = white_noise_povm(random_basis(3, rng), np.linspace(0.0, 1.0, 4))
+        rho = random_pure_state(3, rng, size=(STACK, 1))
+        values = device_uncertainty(rho, povms)
+        assert values.shape == (STACK, 4)
+        assert_stack(
+            values, [[device_uncertainty(r[0], p) for p in povm_items(povms)] for r in rho.matrix]
+        )
+
+    def test_empty_stack(self, rng):
+        povm = random_povm(2, 3, rng)
+        rho = random_pure_state(2, rng, size=0)
+        assert outcome_probs(rho, povm).shape == (0, 3)
+        assert device_uncertainty(rho, povm).shape == (0,)
+        assert quantum_uncertainty(rho, povm).shape == (0,)
+
+    def test_unstacked_calls_return_floats(self, rng):
+        povm = random_povm(3, 3, rng)
+        rho = random_pure_state(3, rng)
+        for value in (
+            shannon_entropy(outcome_probs(rho, povm)),
+            device_uncertainty(rho, povm),
+            quantum_uncertainty(rho, povm),
+            binary_entropy(0.3),
+        ):
+            assert type(value) is float
+
+    def test_binary_entropy(self):
+        p = np.linspace(0.0, 1.0, 7)
+        assert_stack(binary_entropy(p), [binary_entropy(float(x)) for x in p])
+
+    def test_bad_distribution_in_stack(self):
+        probs = np.array([[0.5, 0.5], [0.7, 0.7]])
+        with pytest.raises(ValueError, match="sum to 1.4"):
+            shannon_entropy(probs)
+
+
+class TestBoundStacks:
+    def test_single_povm_bounds(self, d, rng):
+        povms = random_povm(d, 3, rng, size=STACK)
+        singles = povm_items(povms)
+        for fn in (bounds.krishna_bound, bounds.min_device_uncertainty):
+            assert_stack(fn(povms), [fn(p) for p in singles])
+            assert type(fn(singles[0])) is float
+
+    def test_pair_bounds(self, d, rng):
+        a = random_povm(d, 2, rng, size=STACK)
+        b = random_povm(d, 4, rng, size=STACK)
+        pairs = list(zip(povm_items(a), povm_items(b)))
+        for fn in (bounds.coles_bound, bounds.min_pair_device_bound):
+            assert_stack(fn(a, b), [fn(pa, pb) for pa, pb in pairs])
+            assert type(fn(*pairs[0])) is float
+
+    def test_one_povm_against_a_stack(self, rng):
+        a = random_povm(3, 3, rng)
+        b = random_povm(3, 2, rng, size=STACK)
+        assert_stack(bounds.coles_bound(a, b), [bounds.coles_bound(a, pb) for pb in povm_items(b)])
+
+    def test_basis_bounds(self, d, rng):
+        basis_a = random_basis(d, rng, size=STACK)
+        basis_b = random_basis(d, rng, size=STACK)
+        alpha, beta = rng.uniform(size=STACK), rng.uniform(size=STACK)
+        items = list(zip(basis_a, alpha, basis_b, beta))
+        assert_stack(bounds.mu_bound(basis_a, basis_b), [bounds.mu_bound(a, b) for a, _, b, _ in items])
+        assert_stack(bounds.b1_bound(basis_a, alpha, basis_b, beta), [bounds.b1_bound(*x) for x in items])
+        qw, b2 = bounds.qw_b2_bound(basis_a, alpha, basis_b, beta)
+        singles = [bounds.qw_b2_bound(*x) for x in items]
+        assert_stack(qw, [s[0] for s in singles])
+        assert_stack(b2, [s[1] for s in singles])
+        assert all(type(v) is float for v in singles[0])
+        assert type(bounds.b1_bound(*items[0])) is float
+
+    def test_majorization_vector(self, d, rng):
+        basis_a = random_basis(d, rng, size=STACK)
+        basis_b = random_basis(d, rng, size=STACK)
+        mv = bounds.majorization_vector(basis_a, basis_b)
+        assert mv.w.shape == (STACK, d) and mv.W.shape == (STACK, 2 * d - 1)
+        assert mv.dim == d and mv.padded().shape == (STACK, 2 * d)
+        singles = [bounds.majorization_vector(a, b) for a, b in zip(basis_a, basis_b)]
+        assert_stack(mv.w, [s.w for s in singles])
+        assert_stack(mv.W, [s.W for s in singles])
+        assert_stack(bounds.hw_bound(mv), [bounds.hw_bound(s) for s in singles])
+        assert type(bounds.hw_bound(singles[0])) is float
+
+    def test_white_noise_closed_form(self):
+        alphas = np.linspace(0.0, 1.0, 11)
+        for d in (2, 5):
+            values = bounds.device_uncertainty_white_noise(alphas, d)
+            assert_stack(values, [bounds.device_uncertainty_white_noise(float(a), d) for a in alphas])
+        assert type(bounds.device_uncertainty_white_noise(0.4, 3)) is float
+
+    def test_spin_basis(self):
+        thetas = np.linspace(0.0, np.pi, 6).reshape(2, 3)
+        stack = spin_basis(thetas)
+        assert stack.shape == (2, 3, 2, 2)
+        np.testing.assert_array_equal(stack[1, 2], spin_basis(thetas[1, 2]))
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize(
+        "draw, shape",
+        [
+            (lambda rng, size: random_state_vector(3, rng, size), (3,)),
+            (lambda rng, size: random_pure_state(3, rng, size).matrix, (3, 3)),
+            (lambda rng, size: random_mixed_state(3, rng, size).matrix, (3, 3)),
+            (lambda rng, size: random_basis(3, rng, size), (3, 3)),
+            (lambda rng, size: random_povm(3, 2, rng, size).effects, (2, 3, 3)),
+        ],
+    )
+    def test_shapes_and_single_draw(self, draw, shape):
+        assert np.shape(draw(np.random.default_rng(1), None)) == shape
+        assert np.shape(draw(np.random.default_rng(1), 4)) == (4, *shape)
+        assert np.shape(draw(np.random.default_rng(1), (2, 3))) == (2, 3, *shape)
+        assert np.shape(draw(np.random.default_rng(1), 0)) == (0, *shape)
+
+    def test_stacked_states_are_valid(self):
+        validate_density(random_mixed_state(4, 3, size=50).matrix)
+        validate_density(random_pure_state(4, 3, size=50).matrix)
+        bases = random_basis(4, 3, size=50)
+        np.testing.assert_allclose(bases.conj() @ bases.swapaxes(-1, -2), np.broadcast_to(np.eye(4), (50, 4, 4)), atol=1e-10)
+
+    def test_degenerate_row_is_redrawn_alone(self):
+        class ZeroFirstRow(np.random.Generator):
+            """Zeroes row 0 of the first two normal() draws."""
+
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+                self.calls = 0
+
+            def normal(self, *args, **kwargs):
+                result = super().normal(*args, **kwargs)
+                self.calls += 1
+                if self.calls <= 2:
+                    result[0] = 0.0
+                return result
+
+        plain = random_state_vector(2, np.random.default_rng(np.random.PCG64(9)), size=4)
+        patched = random_state_vector(2, ZeroFirstRow(9), size=4)
+        np.testing.assert_array_equal(patched[1:], plain[1:])
+        assert abs(np.linalg.norm(patched[0]) - 1.0) < 1e-12
+
+    def test_sampled_min_calls_objective_once(self):
+        povm = random_povm(2, 3, 4)
+        calls = []
+
+        def objective(rho):
+            calls.append(np.shape(rho))
+            return device_uncertainty(rho, povm)
+
+        best = sampled_min(objective, 2, 300, 5)
+        assert calls == [(300, 2, 2)]
+        rho = random_pure_state(2, np.random.default_rng(5), size=300)
+        assert best == min(device_uncertainty(r, povm) for r in rho.matrix)
+
+
+class TestSuiteResult:
+    def test_records_a_stack_of_slacks(self):
+        result = SuiteResult("demo", 3, 0)
+        result.record(np.array([0.5, -0.2, 0.1]), 0.1, lambda i: f"x{i}")
+        result.record(np.array([0.3]), 0.1, lambda i: f"y{i}")
+        assert result.checks == 4
+        assert result.failures == 1
+        assert result.worst_slack == -0.2
+        assert result.worst_label == "x1"
+        assert result.messages == ["x1: slack -2.000e-01 < -1.0e-01"]
+
+    def test_nan_slack_fails_and_stays_worst(self):
+        result = SuiteResult("demo", 2, 0)
+        result.record(np.array([0.1, np.nan]), 1e-9, lambda i: f"x{i}")
+        result.record(np.array([-1.0]), 1e-9, lambda i: f"y{i}")
+        result.record(np.array([np.nan]), 1e-9, lambda i: f"z{i}")
+        assert result.failures == 3
+        assert np.isnan(result.worst_slack)
+        assert result.worst_label == "x1"
+
+    def test_labels_formatted_only_when_needed(self):
+        result = SuiteResult("demo", 100, 0)
+        asked = []
+        result.record(np.linspace(1.0, 2.0, 100), 1e-9, lambda i: asked.append(i) or f"x{i}")
+        assert asked == [0]
+
+    @pytest.mark.parametrize(
+        "name, per_trial, fixed",
+        [
+            ("chain", 3 * 4, 0),
+            ("majorization", 2 * 3, 0),
+            ("convexity", 2, 0),
+            ("whitenoise", 0, 5 * 11),
+            ("validity", 1, 0),
+            ("coles", 1, 0),
+            ("dualmap", 1, 0),
+        ],
+    )
+    def test_check_counts(self, name, per_trial, fixed):
+        for trials in (1, 65, 130):
+            result = suites.run_suite(name, trials, 8)
+            assert result.checks == per_trial * trials + fixed
+            assert result.passed, result.messages
+
+    def test_chain_builds_one_povm_stack_per_group(self, monkeypatch):
+        constructed = []
+        post_init = Povm.__post_init__
+
+        def counting(self):
+            constructed.append(np.shape(self.effects))
+            post_init(self)
+
+        monkeypatch.setattr(Povm, "__post_init__", counting)
+        result = suite_chain(trials=40, seed=5)
+        assert result.checks == 3 * 4 * 40 and result.passed
+        # at most one stack per (d, n): n in 2..d+1 for d = 2, 3, 4
+        assert len(constructed) <= 2 + 3 + 4
+        assert sum(shape[0] for shape in constructed) == 3 * 40
