@@ -15,7 +15,6 @@ from .bounds import (
     MajorizationVector,
     ad_coles_closed_form,
     b1_bound,
-    berta_reduced_bound,
     coles_bound,
     device_uncertainty_white_noise,
     hw_bound,
@@ -63,13 +62,11 @@ from .sampling import (
     random_povm,
     random_pure_state,
     random_state_vector,
-    sampled_min,
 )
 from .uncertainty import (
     binary_entropy,
     device_uncertainty,
     device_uncertainty_operator,
-    device_uncertainty_qubit,
     f_white_noise,
     outcome_probs,
     quantum_uncertainty,
@@ -100,13 +97,11 @@ __all__ = [
     "ad_coles_closed_form",
     "amplitude_damping_povm",
     "b1_bound",
-    "berta_reduced_bound",
     "binary_entropy",
     "coles_bound",
     "convex_combination",
     "device_uncertainty",
     "device_uncertainty_operator",
-    "device_uncertainty_qubit",
     "device_uncertainty_white_noise",
     "f_white_noise",
     "hw_bound",
@@ -129,7 +124,6 @@ __all__ = [
     "random_povm",
     "random_pure_state",
     "random_state_vector",
-    "sampled_min",
     "shannon_entropy",
     "validate_density",
     "von_neumann_entropy",

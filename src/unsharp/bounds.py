@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DensityMatrix, _frozen, float_or_array, in_unit_interval, require_orthonormal
+from .linalg import TOL_PROJECTIVE, DensityMatrix, _frozen, float_or_array, in_unit_interval, require_orthonormal
 from .povm import Povm
 from .uncertainty import (
     _white_noise_kernel,
@@ -248,18 +248,19 @@ def _qw_b2(mv: MajorizationVector, noisier, device):
     return float_or_array(qw), float_or_array(qw + device)
 
 
-def ad_coles_closed_form(e: float) -> float:
+def ad_coles_closed_form(e):
     """Closed form of -log2 C for the damping pair on the d=3 Fourier pair.
 
     Valid for equal transition probabilities on both measurements. The value
-    is log2(3) at e = 0 and 0 at e = 1.
+    is log2(3) at e = 0 and 0 at e = 1. Elementwise over an array e.
     """
-    if not 0.0 <= e <= 1.0:
+    if not in_unit_interval(e):
         raise ValueError(f"transition probability e must be in [0, 1], got {e}")
+    e = np.asarray(e, dtype=float)
     inner = (
         2.0 + 2.0 * e - e**2 + 3.0 * e**3 + (1.0 - e) * e * np.sqrt(3.0 * (4.0 + 4.0 * e + 3.0 * e**2))
     ) / 6.0
-    return float(-np.log2(inner) + 0.0)
+    return float_or_array(-np.log2(inner) + 0.0)
 
 
 _B1_NOTE = (
@@ -283,7 +284,11 @@ class BoundReport:
 def _pvm_basis(povm: Povm) -> np.ndarray | None:
     """Rows of effect top-eigenvectors if the POVM is rank-1 projective."""
     w = povm.eigenvalues
-    if povm.n_outcomes != povm.dim or np.any(np.abs(w[:, -1] - 1.0) > 1e-9) or np.any(w[:, :-1] > 1e-9):
+    if (
+        povm.n_outcomes != povm.dim
+        or np.any(np.abs(w[:, -1] - 1.0) > TOL_PROJECTIVE)
+        or np.any(w[:, :-1] > TOL_PROJECTIVE)
+    ):
         return None
     return povm.eigenvectors[:, :, -1]
 

@@ -22,6 +22,10 @@ TOL_PSD = 1e-10
 TOL_TRACE = 1e-10
 TOL_ORTHONORMAL = 1e-8
 TOL_RECONSTRUCT = 1e-8
+# Sum slack of a probability vector given to shannon_entropy.
+TOL_PROB_SUM = 1e-8
+# Largest eigenvalue deviation from 0 or 1 of a rank-1 projective effect.
+TOL_PROJECTIVE = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -189,7 +189,7 @@ def white_noise_povm(basis, alpha) -> Povm:
     return Povm(a * _projectors(basis) + (1.0 - a) * np.eye(d) / d)
 
 
-def amplitude_damping_povm(basis, e: float) -> Povm:
+def amplitude_damping_povm(basis, e) -> Povm:
     """Three-outcome measurement with amplitude-damping noise on a d=3 basis.
 
     Population leaks from the two excited outcomes into the ground outcome
@@ -199,15 +199,18 @@ def amplitude_damping_povm(basis, e: float) -> Povm:
         E_1 = (1 - e) |x_1><x_1|
         E_2 = (1 - e) |x_2><x_2|
 
-    Completeness holds exactly for every e in [0, 1].
+    Completeness holds exactly for every e in [0, 1]. A (..., 3, 3) stack of
+    bases and an array e broadcast like ``white_noise_povm``.
     """
     basis = require_orthonormal(basis)
-    if basis.shape[0] != 3:
-        raise DimensionMismatch(f"amplitude damping model needs a d=3 basis, got d={basis.shape[0]}")
-    if not 0.0 <= e <= 1.0:
+    if basis.shape[-1] != 3:
+        raise DimensionMismatch(f"amplitude damping model needs a d=3 basis, got d={basis.shape[-1]}")
+    if not in_unit_interval(e):
         raise ValueError(f"transition probability e must be in [0, 1], got {e}")
     p = _projectors(basis)
-    return Povm(np.stack([p[0] + e * p[1] + e * p[2], (1.0 - e) * p[1], (1.0 - e) * p[2]]))
+    x = np.asarray(e, dtype=float)[..., None, None]
+    ground, first, second = p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :]
+    return Povm(np.stack([ground + x * first + x * second, (1.0 - x) * first, (1.0 - x) * second], axis=-3))
 
 
 def convex_combination(a: Povm, b: Povm, p) -> Povm:

@@ -10,12 +10,13 @@ Fourier couple of mutually unbiased bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import bounds
 from .linalg import _frozen
-from .povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
+from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
@@ -115,133 +116,97 @@ def spin_basis(theta) -> np.ndarray:
     return basis.transpose(*range(2, basis.ndim), 0, 1)
 
 
-def _refine_crossing(diff, lo: float, hi: float, tol: float = CROSSOVER_TOL) -> float:
-    f_lo = diff(lo)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 def find_crossings(xs: np.ndarray, values: np.ndarray, diff, tol: float = CROSSOVER_TOL) -> tuple[float, ...]:
     """Strict sign changes of a sampled difference, refined by bisection.
 
-    ``values`` are the grid samples of ``diff``; refinement re-evaluates the
-    continuous function between adjacent grid points of opposite sign. Grid
-    points where the difference is exactly zero (degenerate equalities at
-    grid endpoints) are not crossings.
+    ``values`` are the grid samples of ``diff``. Every pair of adjacent grid
+    points of opposite sign is a bracket, and all brackets are bisected
+    together: ``diff`` takes the (k,) midpoints of the k brackets still wider
+    than ``tol`` and returns k differences. A midpoint where the difference is
+    exactly zero ends its bracket there. Grid points where the difference is
+    exactly zero (degenerate equalities at grid endpoints) are not crossings.
+    Results are rounded to 4 decimals, in grid order, without duplicates.
     """
-    found = []
-    for i in range(len(xs) - 1):
-        if float(values[i]) * float(values[i + 1]) < 0.0:
-            found.append(round(_refine_crossing(diff, float(xs[i]), float(xs[i + 1]), tol), 4))
-    return tuple(dict.fromkeys(found))
+    xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
+    i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    lo, hi, lo_negative = xs[i], xs[i + 1], values[i] < 0.0
+    active = hi - lo > tol
+    while active.any():
+        j = np.flatnonzero(active)
+        mid = (lo[j] + hi[j]) / 2.0
+        f_mid = np.asarray(diff(mid), dtype=float)
+        zero = f_mid == 0.0
+        move_lo = (f_mid < 0.0) == lo_negative[j]
+        lo[j] = np.where(zero | move_lo, mid, lo[j])
+        hi[j] = np.where(zero | ~move_lo, mid, hi[j])
+        active[j] = ~zero & (hi[j] - lo[j] > tol)
+    return tuple(dict.fromkeys(round(float(x), 4) for x in (lo + hi) / 2.0))
 
 
-@dataclass(frozen=True)
-class _SpinPair:
-    """Angle-independent parts of the angle sweep for noise levels (eta, zeta).
+def _theta_columns(theta: np.ndarray, eta: float, zeta: float) -> dict[str, np.ndarray]:
+    """Every THETA_COLUMNS value at the (k,) angles theta, as (k,) arrays.
 
-    Holds the noisy sigma_z measurement and the closed-form white-noise
-    device uncertainties, so that a sweep builds them once, not per row.
+    B1 takes mu from w_1 of the majorization vector, the same vector that
+    gives H(W), Q(W) and B2.
     """
-
-    eta: float
-    zeta: float
-    pb: Povm
-    d_eta: float
-    d_zeta: float
-
-    @classmethod
-    def of(cls, eta: float, zeta: float) -> "_SpinPair":
-        return cls(
-            eta=eta,
-            zeta=zeta,
-            pb=white_noise_povm(_Z_BASIS, zeta),
-            d_eta=bounds.device_uncertainty_white_noise(eta, 2),
-            d_zeta=bounds.device_uncertainty_white_noise(zeta, 2),
-        )
-
-    @property
-    def d_wn(self) -> float:
-        return self.d_eta + self.d_zeta
-
-    def b1(self, mu: float) -> float:
-        return mu + min(self.d_eta, self.d_zeta)
-
-    def log_c(self, basis_a) -> float:
-        return bounds.coles_bound(white_noise_povm(basis_a, self.eta), self.pb)
-
-    def b1_b2_qw(self, mv: bounds.MajorizationVector) -> tuple[float, float, float]:
-        qw, b2 = bounds._qw_b2(mv, min(self.eta, self.zeta), self.d_wn)
-        return self.b1(bounds._mu_from_majorization(mv)), b2, qw
-
-
-def theta_row(theta: float, eta: float, zeta: float, *, pair: _SpinPair | None = None) -> tuple[float, ...]:
-    """One angle-sweep grid row in THETA_COLUMNS order.
-
-    ``pair`` carries the angle-independent terms for (eta, zeta) when the
-    caller has already built them.
-    """
-    pair = pair if pair is not None else _SpinPair.of(eta, zeta)
     basis_a = spin_basis(theta)
     mv = bounds.majorization_vector(basis_a, _Z_BASIS)
-    b1, b2, qw = pair.b1_b2_qw(mv)
-    return (theta, b1, b2, pair.log_c(basis_a), pair.d_wn, bounds.hw_bound(mv), qw)
+    d_eta = bounds.device_uncertainty_white_noise(eta, 2)
+    d_zeta = bounds.device_uncertainty_white_noise(zeta, 2)
+    d_wn = d_eta + d_zeta
+    qw, b2 = bounds._qw_b2(mv, min(eta, zeta), d_wn)
+    return {
+        "theta": theta,
+        "B1": bounds._mu_from_majorization(mv) + min(d_eta, d_zeta),
+        "B2": b2,
+        "logC": bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(_Z_BASIS, zeta)),
+        "D_WN": np.full(theta.shape, d_wn),
+        "HW": bounds.hw_bound(mv),
+        "QW": qw,
+    }
 
 
-def _damping_pair(e: float) -> tuple[Povm, Povm]:
+def _damping_columns(e: np.ndarray) -> dict[str, np.ndarray]:
+    """Every DAMPING_COLUMNS value at the (k,) transition probabilities e."""
     basis_x, basis_z = _FOURIER_3
-    return amplitude_damping_povm(basis_x, e), amplitude_damping_povm(basis_z, e)
+    pa, pb = amplitude_damping_povm(basis_x, e), amplitude_damping_povm(basis_z, e)
+    return {
+        "e": e,
+        "logC_numeric": bounds.coles_bound(pa, pb),
+        "logC_closed": bounds.ad_coles_closed_form(e),
+        "D_AD": bounds.min_pair_device_bound(pa, pb),
+    }
 
 
-def damping_row(e: float) -> tuple[float, ...]:
-    """One damping-sweep grid row in DAMPING_COLUMNS order."""
-    pa, pb = _damping_pair(e)
-    return (
-        e,
-        bounds.coles_bound(pa, pb),
-        bounds.ad_coles_closed_form(e),
-        bounds.min_pair_device_bound(pa, pb),
-    )
+def _sweep(config: SweepConfig, columns_of, names: tuple[str, ...], differences: dict) -> SweepResult:
+    """Evaluate the whole grid in one call of ``columns_of`` and bisect each
+    labelled difference ``(minuend, subtrahend)`` through the same function."""
+    grid = config.grid()
+    table = columns_of(grid)
+
+    def crossings(minuend: str, subtrahend: str) -> tuple[float, ...]:
+        def diff(x):
+            columns = columns_of(x)
+            return columns[minuend] - columns[subtrahend]
+
+        return find_crossings(grid, table[minuend] - table[subtrahend], diff)
+
+    rows = tuple(zip(*(table[name].tolist() for name in names)))
+    crossovers = {label: crossings(*pair) for label, pair in differences.items()}
+    return SweepResult(columns=names, rows=rows, crossovers=crossovers, config=config)
 
 
 def theta_sweep(config: SweepConfig) -> SweepResult:
     """Angle sweep of B1, B2, -log2 C, D_WN, H(W) and Q(W).
 
     Detects where B2 overtakes B1, and where the total device uncertainty
-    overtakes -log2 C and B1. Bisection evaluates only the two compared
-    columns.
+    overtakes -log2 C and B1.
     """
     if config.kind != "theta":
         raise ValueError("theta_sweep needs a config of kind 'theta'")
-    pair = _SpinPair.of(config.eta, config.zeta)
-    grid = config.grid()
-    rows = tuple(theta_row(theta, pair.eta, pair.zeta, pair=pair) for theta in grid)
-    by_name = {name: np.array([row[i] for row in rows]) for i, name in enumerate(THETA_COLUMNS)}
-
-    def b2_minus_b1(theta):
-        b1, b2, _ = pair.b1_b2_qw(bounds.majorization_vector(spin_basis(theta), _Z_BASIS))
-        return b2 - b1
-
-    def d_wn_minus_log_c(theta):
-        return pair.d_wn - pair.log_c(spin_basis(theta))
-
-    def d_wn_minus_b1(theta):
-        return pair.d_wn - pair.b1(bounds.mu_bound(spin_basis(theta), _Z_BASIS))
-
-    crossovers = {
-        "B2-B1": find_crossings(grid, by_name["B2"] - by_name["B1"], b2_minus_b1),
-        "D_WN-logC": find_crossings(grid, by_name["D_WN"] - by_name["logC"], d_wn_minus_log_c),
-        "D_WN-B1": find_crossings(grid, by_name["D_WN"] - by_name["B1"], d_wn_minus_b1),
-    }
-    return SweepResult(columns=THETA_COLUMNS, rows=rows, crossovers=crossovers, config=config)
+    columns_of = partial(_theta_columns, eta=config.eta, zeta=config.zeta)
+    differences = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN-B1": ("D_WN", "B1")}
+    return _sweep(config, columns_of, THETA_COLUMNS, differences)
 
 
 def damping_sweep(config: SweepConfig) -> SweepResult:
@@ -252,14 +217,4 @@ def damping_sweep(config: SweepConfig) -> SweepResult:
     """
     if config.kind != "damping":
         raise ValueError("damping_sweep needs a config of kind 'damping'")
-    grid = config.grid()
-    rows = tuple(damping_row(e) for e in grid)
-    d_ad = np.array([row[3] for row in rows])
-    log_c = np.array([row[1] for row in rows])
-
-    def diff(e):
-        pa, pb = _damping_pair(e)
-        return bounds.min_pair_device_bound(pa, pb) - bounds.coles_bound(pa, pb)
-
-    crossovers = {"D_AD-logC": find_crossings(grid, d_ad - log_c, diff)}
-    return SweepResult(columns=DAMPING_COLUMNS, rows=rows, crossovers=crossovers, config=config)
+    return _sweep(config, _damping_columns, DAMPING_COLUMNS, {"D_AD-logC": ("D_AD", "logC_numeric")})

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PSD, first_index, float_or_array, in_unit_interval, prob_tol, require_unit_vector
+from .linalg import TOL_PROB_SUM, TOL_PSD, first_index, float_or_array, in_unit_interval, prob_tol, require_unit_vector
 from .povm import Povm, QubitPovmParams
 
 
@@ -70,12 +70,12 @@ def shannon_entropy(probs):
     """
     p = np.asarray(probs, dtype=float)
     total = p.sum(axis=-1)
-    if not (p.min(initial=np.inf) >= -TOL_PSD and abs(total - 1.0).max(initial=0.0) <= 1e-8):
+    if not (p.min(initial=np.inf) >= -TOL_PSD and abs(total - 1.0).max(initial=0.0) <= TOL_PROB_SUM):
         low = p.min(axis=-1)
         bad = ~(low >= -TOL_PSD)
         if bad.any():
             raise ValueError(f"negative probability {low[first_index(bad)]:.3e}")
-        bad = ~(abs(total - 1.0) <= 1e-8)
+        bad = ~(abs(total - 1.0) <= TOL_PROB_SUM)
         raise ValueError(f"probabilities sum to {total[first_index(bad)]:.10f}, expected 1")
     return float_or_array(entropy_term(p.clip(0.0, 1.0)).sum(axis=-1))
 

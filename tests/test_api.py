@@ -1,0 +1,70 @@
+"""The package's public names: the paper's quantities and what the CLI needs."""
+
+import unsharp
+
+PUBLIC = [
+    "BoundReport",
+    "CompletenessViolated",
+    "DegenerateDraw",
+    "DensityMatrix",
+    "DimensionMismatch",
+    "EigenvalueAboveOne",
+    "MajorizationVector",
+    "NotFinite",
+    "NotHermitian",
+    "NotNormalized",
+    "NotOrthonormal",
+    "NotPositive",
+    "ParseError",
+    "Povm",
+    "QubitPovmParams",
+    "TraceNotOne",
+    "ValidationError",
+    "ad_coles_closed_form",
+    "amplitude_damping_povm",
+    "b1_bound",
+    "binary_entropy",
+    "coles_bound",
+    "convex_combination",
+    "device_uncertainty",
+    "device_uncertainty_operator",
+    "device_uncertainty_white_noise",
+    "f_white_noise",
+    "hw_bound",
+    "krishna_bound",
+    "majorization_vector",
+    "make_povm",
+    "min_device_uncertainty",
+    "min_pair_device_bound",
+    "mu_bound",
+    "mub_fourier_basis",
+    "outcome_probs",
+    "pair_bound_report",
+    "projective_from_basis",
+    "pure_state_density",
+    "quantum_uncertainty",
+    "qubit_povm",
+    "qw_b2_bound",
+    "random_basis",
+    "random_mixed_state",
+    "random_povm",
+    "random_pure_state",
+    "random_state_vector",
+    "shannon_entropy",
+    "validate_density",
+    "von_neumann_entropy",
+    "white_noise_povm",
+]
+
+
+def test_all_is_pinned():
+    assert unsharp.__all__ == PUBLIC
+    assert all(hasattr(unsharp, name) for name in PUBLIC)
+
+
+def test_test_oracles_stay_in_their_modules():
+    for name in ("device_uncertainty_qubit", "berta_reduced_bound", "sampled_min"):
+        assert not hasattr(unsharp, name)
+    assert callable(unsharp.uncertainty.device_uncertainty_qubit)
+    assert callable(unsharp.bounds.berta_reduced_bound)
+    assert callable(unsharp.sampling.sampled_min)

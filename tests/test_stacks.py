@@ -14,6 +14,7 @@ import pytest
 from unsharp import bounds, suites
 from unsharp.errors import (
     CompletenessViolated,
+    DimensionMismatch,
     EigenvalueAboveOne,
     NotFinite,
     NotHermitian,
@@ -22,7 +23,13 @@ from unsharp.errors import (
     TraceNotOne,
 )
 from unsharp.linalg import DensityMatrix, validate_density
-from unsharp.povm import Povm, convex_combination, projective_from_basis, white_noise_povm
+from unsharp.povm import (
+    Povm,
+    amplitude_damping_povm,
+    convex_combination,
+    projective_from_basis,
+    white_noise_povm,
+)
 from unsharp.sampling import (
     random_basis,
     random_mixed_state,
@@ -115,10 +122,30 @@ class TestPovmStacks:
         for i, (pa, pb) in enumerate(zip(povm_items(a), povm_items(b))):
             np.testing.assert_allclose(mixed.effects[i], convex_combination(pa, pb, p[i]).effects, atol=TOL)
 
+    def test_amplitude_damping(self, rng):
+        bases = random_basis(3, rng, size=STACK)
+        es = rng.uniform(size=STACK)
+        stack = amplitude_damping_povm(bases, es)
+        assert stack.effects.shape == (STACK, 3, 3, 3)
+        singles = [amplitude_damping_povm(b, e) for b, e in zip(bases, es)]
+        np.testing.assert_allclose(stack.effects, [p.effects for p in singles], atol=TOL, rtol=0)
+        grid = amplitude_damping_povm(bases[0], es)
+        assert grid.effects.shape == (STACK, 3, 3, 3)
+        np.testing.assert_allclose(grid.effects[3], amplitude_damping_povm(bases[0], es[3]).effects, atol=TOL, rtol=0)
+        assert singles[0].effects.shape == (3, 3, 3)
+
+    def test_amplitude_damping_checks_the_basis_dimension_of_a_stack(self, rng):
+        with pytest.raises(DimensionMismatch, match="d=2"):
+            amplitude_damping_povm(random_basis(2, rng, size=3), 0.5)
+
     def test_out_of_range_parameter_in_stack(self, rng):
         basis = random_basis(2, rng)
         with pytest.raises(ValueError, match="alpha"):
             white_noise_povm(basis, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="transition probability"):
+            amplitude_damping_povm(random_basis(3, rng), np.array([0.2, 1.0, -0.1]))
+        with pytest.raises(ValueError, match="transition probability"):
+            bounds.ad_coles_closed_form(np.array([0.2, np.nan, 0.5]))
         a = random_povm(2, 2, rng)
         with pytest.raises(ValueError, match="mixing probability"):
             convex_combination(a, a, np.array([0.2, np.nan]))
@@ -309,6 +336,11 @@ class TestBoundStacks:
             values = bounds.device_uncertainty_white_noise(alphas, d)
             assert_stack(values, [bounds.device_uncertainty_white_noise(float(a), d) for a in alphas])
         assert type(bounds.device_uncertainty_white_noise(0.4, 3)) is float
+
+    def test_damping_closed_form(self):
+        es = np.linspace(0.0, 1.0, 11)
+        assert_stack(bounds.ad_coles_closed_form(es), [bounds.ad_coles_closed_form(float(e)) for e in es])
+        assert type(bounds.ad_coles_closed_form(0.3)) is float
 
     def test_spin_basis(self):
         thetas = np.linspace(0.0, np.pi, 6).reshape(2, 3)
