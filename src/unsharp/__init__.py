@@ -4,27 +4,24 @@ The package quantifies how much of the entropy of measurement outcomes is
 caused by the measuring device itself (its unsharpness) versus the measured
 state, and implements the family of entropic uncertainty-relation lower
 bounds built from that split: single-measurement resolution and minimized
-device-uncertainty bounds, the pair bound -log2 C, the largest-overlap bound
-and its white-noise extension B1, the direct-sum majorization bounds H(W),
-Q(W) and B2, and the minimized pair device uncertainty with its
-amplitude-damping closed form. All entropies are in bits.
+device-uncertainty bounds, the pair bound -log2 C, the basis-pair bounds of
+``basis_pair_bounds`` (the largest-overlap bound, its white-noise extension
+B1, the direct-sum majorization bounds H(W), Q(W) and B2), and the minimized
+pair device uncertainty with its amplitude-damping closed form. All entropies are in bits.
 """
 
 from .bounds import (
     BoundReport,
     MajorizationVector,
     ad_coles_closed_form,
-    b1_bound,
+    basis_pair_bounds,
     coles_bound,
     device_uncertainty_white_noise,
-    hw_bound,
     krishna_bound,
     majorization_vector,
     min_device_uncertainty,
     min_pair_device_bound,
-    mu_bound,
     pair_bound_report,
-    qw_b2_bound,
 )
 from .errors import (
     CompletenessViolated,
@@ -96,7 +93,7 @@ __all__ = [
     "ValidationError",
     "ad_coles_closed_form",
     "amplitude_damping_povm",
-    "b1_bound",
+    "basis_pair_bounds",
     "binary_entropy",
     "coles_bound",
     "convex_combination",
@@ -104,13 +101,11 @@ __all__ = [
     "device_uncertainty_operator",
     "device_uncertainty_white_noise",
     "f_white_noise",
-    "hw_bound",
     "krishna_bound",
     "majorization_vector",
     "make_povm",
     "min_device_uncertainty",
     "min_pair_device_bound",
-    "mu_bound",
     "mub_fourier_basis",
     "outcome_probs",
     "pair_bound_report",
@@ -118,7 +113,6 @@ __all__ = [
     "pure_state_density",
     "quantum_uncertainty",
     "qubit_povm",
-    "qw_b2_bound",
     "random_basis",
     "random_mixed_state",
     "random_povm",

@@ -2,10 +2,11 @@
 
 Single-measurement bounds: the resolution bound (-log2 of the largest effect
 norm) and its improvement, the device uncertainty minimized over all states.
-Pair bounds: the effect-sandwich bound -log2 C, the largest-overlap bound for
-two bases, its white-noise extension B1, the direct-sum majorization bounds
-H(W) / Q(W) / B2, the total white-noise device uncertainty, and the minimized
-pair device uncertainty with its amplitude-damping closed form.
+Pair bounds: the effect-sandwich bound -log2 C; for two bases, one kernel
+``basis_pair_bounds`` for the largest-overlap bound, its white-noise
+extension B1, the direct-sum majorization bounds H(W) / Q(W) / B2 and the
+total white-noise device uncertainty; and the minimized pair device
+uncertainty with its amplitude-damping closed form.
 
 Every bound except ``pair_bound_report`` broadcasts over leading stack axes
 of its POVMs, bases and noise levels, returning a Python float for unstacked
@@ -30,7 +31,6 @@ from .uncertainty import (
     outcome_probs,
     quantum_uncertainty,
     shannon_entropy,
-    von_neumann_entropy,
 )
 
 # The majorization vector takes the largest singular value of every
@@ -81,12 +81,13 @@ def device_uncertainty_white_noise(alpha, d: int):
 
     With alpha_d = (1 - alpha) / d this is h(alpha + alpha_d) +
     (d - 1) h(alpha_d), elementwise over an array alpha; it is
-    state-independent and decreases monotonically in alpha.
+    state-independent, decreases monotonically in alpha, and vanishes for
+    the one-outcome measurement of d = 1.
     """
     if not in_unit_interval(alpha):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     a = np.asarray(alpha, dtype=float)
     alpha_d = (1.0 - a) / d
     return float_or_array(entropy_term(a + alpha_d) + (d - 1) * entropy_term(alpha_d))
@@ -103,8 +104,8 @@ def coles_bound(a: Povm, b: Povm):
     """State-independent pair bound -log2 C from sandwiched effect sums.
 
     C = min( max_i || sum_j B_j A_i B_j ||, max_j || sum_i A_i B_j A_i || ).
-    For projective pairs this reduces to the largest-overlap bound of
-    ``mu_bound``.
+    For projective pairs this reduces to the largest-overlap bound mu of
+    ``basis_pair_bounds``.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
@@ -118,33 +119,6 @@ def _overlaps(basis_a, basis_b) -> np.ndarray:
     if basis_a.shape[-1] != basis_b.shape[-1]:
         raise DimensionMismatch(f"basis dimensions differ: {basis_a.shape[-1]} vs {basis_b.shape[-1]}")
     return basis_a.conj() @ basis_b.swapaxes(-1, -2)
-
-
-def mu_bound(basis_a, basis_b):
-    """Largest-overlap bound -log2 max_{i,j} |<a_i|b_j>|^2 for two bases."""
-    return _neg_log2((abs(_overlaps(basis_a, basis_b)) ** 2).max(axis=(-2, -1)))
-
-
-def b1_bound(basis_a, alpha, basis_b, beta):
-    """Largest-overlap bound plus the smaller white-noise device uncertainty.
-
-    Convention: the overlap constant is max_{i,j} |<a_i|b_j>|^2, so the sharp
-    limit alpha = beta = 1 recovers ``mu_bound`` exactly.
-    """
-    mu = mu_bound(basis_a, basis_b)
-    d = np.asarray(basis_a).shape[-1]
-    return float_or_array(
-        mu + np.minimum(device_uncertainty_white_noise(alpha, d), device_uncertainty_white_noise(beta, d))
-    )
-
-
-def berta_reduced_bound(basis_a, basis_b, rho) -> float:
-    """Largest-overlap bound plus the von Neumann entropy of the state.
-
-    Single-system reduction of the memory-assisted entropic bound; used as a
-    numeric cross-check for the white-noise bound chain.
-    """
-    return mu_bound(basis_a, basis_b) + von_neumann_entropy(rho)
 
 
 @dataclass(frozen=True)
@@ -190,7 +164,11 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     |R| + |S| <= d: O(4^d) singular-value problems of size at most d/2.
     Stacks of bases (..., d, d) broadcast and enlarge each batched SVD.
     """
-    u = _overlaps(basis_a, basis_b)
+    return _majorization(_overlaps(basis_a, basis_b))
+
+
+def _majorization(u: np.ndarray) -> MajorizationVector:
+    """``majorization_vector`` of the overlap matrices u (..., d, d)."""
     d = u.shape[-1]
     if d > MAX_MAJORIZATION_DIM:
         raise ValueError(f"subset enumeration is limited to d <= {MAX_MAJORIZATION_DIM}, got d={d}")
@@ -218,34 +196,44 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     return MajorizationVector(w=w, W=big_w)
 
 
-def _mu_from_majorization(mv: MajorizationVector):
-    """Largest-overlap bound from w_1 = 1 + max_{i,j} |<a_i|b_j>|."""
-    return _neg_log2((mv.w[..., 0] - 1.0) ** 2)
+def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
+    """The basis-pair bounds of two bases under white noise alpha and beta.
 
+    All come from one overlap matrix U[i, j] = <a_i|b_j>:
 
-def hw_bound(mv: MajorizationVector):
-    """Shannon entropy of the majorization increment distribution W."""
-    return shannon_entropy(mv.W)
+    - ``mu``: the largest-overlap bound -log2 max_{i,j} |U_ij|^2;
+    - ``B1`` = mu + min(D_WN(alpha), D_WN(beta)), so the sharp limit
+      alpha = beta = 1 gives mu;
+    - ``HW``: the Shannon entropy of the majorization increments W;
+    - ``QW``: the white-noise kernel at the larger noise level,
+      min(alpha, beta), summed over W zero-padded to length 2d;
+    - ``B2`` = Q(W) + D_WN: H(W) when alpha = beta = 1, D_WN when
+      min(alpha, beta) = 0;
+    - ``D_WN`` = D_WN(alpha) + D_WN(beta), the closed-form device
+      uncertainties of ``device_uncertainty_white_noise``.
 
-
-def qw_b2_bound(basis_a, alpha, basis_b, beta):
-    """Majorization bound on the quantum uncertainty and the full bound B2.
-
-    Q(W) applies the white-noise kernel at the larger noise level,
-    min(alpha, beta), to W zero-padded to length 2d. B2 adds both closed-form
-    device uncertainties; it equals H(W) exactly when alpha = beta = 1 and
-    collapses to the summed device uncertainty when min(alpha, beta) = 0.
+    HW, QW and B2 need the subset enumeration of ``majorization_vector``
+    and are omitted above MAX_MAJORIZATION_DIM. Stacks of bases (..., d, d)
+    and of noise levels broadcast; every value is a float for unstacked
+    input and an array of the broadcast stack shape otherwise.
     """
-    mv = majorization_vector(basis_a, basis_b)
-    d = mv.dim
-    device = device_uncertainty_white_noise(alpha, d) + device_uncertainty_white_noise(beta, d)
-    return _qw_b2(mv, np.minimum(alpha, beta), device)
-
-
-def _qw_b2(mv: MajorizationVector, noisier, device):
-    """Q(W) at noise level ``noisier`` and B2 = Q(W) + ``device``."""
-    qw = np.sum(_white_noise_kernel(mv.padded(), np.asarray(noisier)[..., None], mv.dim), axis=-1)
-    return float_or_array(qw), float_or_array(qw + device)
+    u = _overlaps(basis_a, basis_b)
+    d = u.shape[-1]
+    d_alpha = device_uncertainty_white_noise(alpha, d)
+    d_beta = device_uncertainty_white_noise(beta, d)
+    d_wn = np.add(d_alpha, d_beta)
+    # mu through w_1 - 1 = max |U_ij|, the route the pinned sweep outputs use.
+    w1 = 1.0 + np.sqrt((np.abs(u) ** 2).max(axis=(-2, -1)))
+    mu = _neg_log2((w1 - 1.0) ** 2)
+    values = {"mu": mu, "B1": mu + np.minimum(d_alpha, d_beta)}
+    if d <= MAX_MAJORIZATION_DIM:
+        mv = _majorization(u)
+        noisier = np.asarray(np.minimum(alpha, beta))[..., None]
+        qw = np.sum(_white_noise_kernel(mv.padded(), noisier, d), axis=-1)
+        values.update(HW=shannon_entropy(mv.W), QW=qw, B2=qw + d_wn)
+    values["D_WN"] = d_wn
+    shape = np.broadcast_shapes(u.shape[:-2], np.shape(alpha), np.shape(beta))
+    return {name: float_or_array(np.broadcast_to(value, shape)) for name, value in values.items()}
 
 
 def ad_coles_closed_form(e):
@@ -320,20 +308,12 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
     if basis_a is not None and basis_b is not None:
         notes.append(_B1_NOTE)
         notes.append("basis-family bounds evaluated at zero noise (both POVMs are projective)")
-        if a.dim <= MAX_MAJORIZATION_DIM:
-            mv = majorization_vector(basis_a, basis_b)
-            mu = _mu_from_majorization(mv)
-            qw, b2 = _qw_b2(mv, 1.0, 0.0)
-            majorization = dict(HW=hw_bound(mv), QW=qw, B2=b2)
-        else:
-            mu = mu_bound(basis_a, basis_b)
-            majorization = {}
+        values.update(basis_pair_bounds(basis_a, 1.0, basis_b, 1.0))
+        if a.dim > MAX_MAJORIZATION_DIM:
             notes.append(
                 f"HW, QW and B2 omitted: the majorization enumeration is limited to "
                 f"d <= {MAX_MAJORIZATION_DIM}, got d={a.dim}"
             )
-        # Sharp white-noise terms vanish, so B1 = mu.
-        values.update(mu=mu, B1=mu, **majorization, D_WN=0.0)
         metadata["pvm_pair"] = True
     else:
         metadata["pvm_pair"] = False

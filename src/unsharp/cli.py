@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import krishna_bound, min_device_uncertainty, pair_bound_report
 from .errors import ParseError, ValidationError
-from .serialize import load_povm, load_state
+from .serialize import json_int, load_povm, load_state
 from .suites import SUITES, run_suite
 from .sweeps import SweepConfig, damping_sweep, theta_sweep
 from .uncertainty import device_uncertainty, outcome_probs, quantum_uncertainty, shannon_entropy
@@ -38,7 +38,7 @@ def _load_inputs(loader, path, as_json: bool):
     """Load a JSON input file, mapping failures to (payload, exit_code)."""
     try:
         return loader(path), None
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ParseError) as exc:
         _emit_error("ParseError", f"{path}: {exc}", as_json)
         return None, EXIT_USAGE
     except ValidationError as exc:
@@ -116,13 +116,17 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _config_value(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _path(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a path, got {value!r}")
+    return value
 
 
 def _sweep_config(args, kind: str) -> SweepConfig:
@@ -132,27 +136,31 @@ def _sweep_config(args, kind: str) -> SweepConfig:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ValueError("config file must contain a JSON object")
+
+    def setting(key: str, default, convert=_number):
+        """CLI flag > config file > default; an unset optional setting stays None."""
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key, default)
+        return None if value is None and default is None else convert(value, key)
+
     if kind == "theta":
         return SweepConfig(
             kind="theta",
-            start=float(_config_value(args, config, "start", 0.0)),
-            stop=float(_config_value(args, config, "stop", float(np.pi))),
-            steps=int(_config_value(args, config, "steps", 181)),
-            eta=_maybe_float(_config_value(args, config, "eta", None)),
-            zeta=_maybe_float(_config_value(args, config, "zeta", None)),
-            out=_config_value(args, config, "out", None),
+            start=setting("start", 0.0),
+            stop=setting("stop", float(np.pi)),
+            steps=setting("steps", 181, json_int),
+            eta=setting("eta", None),
+            zeta=setting("zeta", None),
+            out=setting("out", None, _path),
         )
     return SweepConfig(
         kind="damping",
-        start=float(_config_value(args, config, "start", 0.0)),
-        stop=float(_config_value(args, config, "stop", 1.0)),
-        steps=int(_config_value(args, config, "steps", 101)),
-        out=_config_value(args, config, "out", None),
+        start=setting("start", 0.0),
+        stop=setting("stop", 1.0),
+        steps=setting("steps", 101, json_int),
+        out=setting("out", None, _path),
     )
-
-
-def _maybe_float(value):
-    return None if value is None else float(value)
 
 
 def _run_sweep(args, kind: str) -> int:
@@ -160,11 +168,15 @@ def _run_sweep(args, kind: str) -> int:
         config = _sweep_config(args, kind)
         if config.out is None:
             raise ValueError("an output path is required (--out or config file)")
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError covers bad JSON and bad text
         _emit_error("ConfigError", str(exc), False)
         return EXIT_USAGE
     result = theta_sweep(config) if kind == "theta" else damping_sweep(config)
-    result.write_csv(config.out)
+    try:
+        result.write_csv(config.out)
+    except OSError as exc:
+        _emit_error("ConfigError", f"cannot write {config.out}: {exc}", False)
+        return EXIT_USAGE
     for name, points in result.crossovers.items():
         formatted = ", ".join(f"{x:.4f}" for x in points) if points else "none"
         print(f"crossover {name}: {formatted}")

@@ -19,6 +19,7 @@ from .errors import (
     NotPositive,
 )
 from .linalg import (
+    TOL_BLOCH,
     TOL_PSD,
     TOL_RECONSTRUCT,
     _frozen,
@@ -140,7 +141,7 @@ class QubitPovmParams:
             raise ValueError(f"a_vec must be a 3-vector, got shape {a_vec.shape}")
         object.__setattr__(self, "a_vec", _frozen(a_vec))
         r = self.bloch_norm
-        if not (r - 1e-12 <= self.a0 <= 2.0 - r + 1e-12):
+        if not (r - TOL_BLOCH <= self.a0 <= 2.0 - r + TOL_BLOCH):
             raise ValueError(
                 f"need |a_vec| <= a0 <= 2 - |a_vec|, got a0={self.a0}, |a_vec|={r}"
             )

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDraw
-from .linalg import DensityMatrix
+from .linalg import TOL_DRAW_NORM, TOL_DRAW_RANK, DensityMatrix
 from .povm import Povm
 
 _MAX_RETRIES = 100
@@ -68,9 +68,9 @@ def random_state_vector(d: int, seed, size=None) -> np.ndarray:
     def draw(k):
         z = _complex_normal(rng, (k, d))
         norm = np.sqrt((z.real**2 + z.imag**2).sum(axis=-1))
-        usable = norm > 1e-12
+        usable = norm > TOL_DRAW_NORM
         # Unusable rows are drawn again, so only a division by zero is avoided.
-        return z / np.maximum(norm, 1e-12)[:, None], usable
+        return z / np.maximum(norm, TOL_DRAW_NORM)[:, None], usable
 
     return _draw(size, draw, "state vector")
 
@@ -110,9 +110,9 @@ def random_basis(d: int, seed, size=None) -> np.ndarray:
         q, r = np.linalg.qr(_complex_normal(rng, (k, d, d)))
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         magnitude = abs(diag)
-        usable = magnitude.min(axis=-1) >= 1e-10
+        usable = magnitude.min(axis=-1) >= TOL_DRAW_RANK
         # Unusable draws are drawn again, so only a division by zero is avoided.
-        phases = diag / np.maximum(magnitude, 1e-10)
+        phases = diag / np.maximum(magnitude, TOL_DRAW_RANK)
         return (q * phases.conj()[:, None, :]).swapaxes(-1, -2), usable
 
     return _draw(size, draw, "basis")
@@ -135,7 +135,7 @@ def random_povm(d: int, n: int, seed, size=None) -> Povm:
         z = _complex_normal(rng, (k, n, d, d))
         positives = np.einsum("...nik,...njk->...nij", z, z.conj())
         w, v = np.linalg.eigh(positives.sum(axis=-3))
-        usable = w[:, 0] > 1e-10 * w[:, -1]
+        usable = w[:, 0] > TOL_DRAW_RANK * w[:, -1]
         # Unusable draws are drawn again, so only a division by zero is avoided.
         inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ v.conj().swapaxes(-1, -2)
         effects = np.einsum("...ab,...nbc,...cd->...nad", inv_sqrt, positives, inv_sqrt)

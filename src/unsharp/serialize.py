@@ -18,6 +18,15 @@ from .linalg import DensityMatrix, validate_density
 from .povm import Povm, make_povm
 
 
+def json_int(value, what: str) -> int:
+    """An integer JSON value: 3 and 3.0 pass; 2.7, "3", true and null raise ParseError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _decode_complex_matrix(obj, d: int, context: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -37,11 +46,8 @@ def povm_from_json(obj) -> Povm:
     """Build and validate a POVM from its JSON object form."""
     if not isinstance(obj, dict):
         raise ParseError("POVM document must be a JSON object")
-    try:
-        d = int(obj["dim"])
-        raw_effects = obj["effects"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("POVM document needs integer 'dim' and a list 'effects'") from exc
+    d = json_int(obj.get("dim"), "POVM document 'dim'")
+    raw_effects = obj.get("effects")
     if not isinstance(raw_effects, list) or not raw_effects:
         raise ParseError("'effects' must be a non-empty list of matrices")
     effects = [
@@ -58,10 +64,7 @@ def state_from_json(obj) -> DensityMatrix:
     """Build and validate a density matrix from its JSON object form."""
     if not isinstance(obj, dict):
         raise ParseError("state document must be a JSON object")
-    try:
-        d = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("state document needs an integer 'dim'") from exc
+    d = json_int(obj.get("dim"), "state document 'dim'")
     if "matrix" in obj:
         return validate_density(_decode_complex_matrix(obj["matrix"], d, "state matrix"))
     if "vector" in obj:

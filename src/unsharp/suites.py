@@ -20,15 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
-    b1_bound,
+    basis_pair_bounds,
     coles_bound,
     device_uncertainty_white_noise,
-    hw_bound,
     krishna_bound,
     majorization_vector,
     min_device_uncertainty,
-    qw_b2_bound,
 )
+from .linalg import TOL_SUITE, TOL_SUITE_CLOSED_FORM, TOL_SUITE_IDENTITY
 from .povm import convex_combination, projective_from_basis, white_noise_povm
 from .sampling import (
     random_basis,
@@ -137,10 +136,10 @@ def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
             def label(check):
                 return lambda i: f"d={d} trial={idx[i]} {check}"
 
-            result.record(entropy - dev, 1e-9, label("H>=D"))
-            result.record(dev - floor, 1e-9, label("D>=minD"))
-            result.record(floor - resolution, 1e-9, label("minD>=resolution"))
-            result.record(dev, 1e-9, label("D>=0"))
+            result.record(entropy - dev, TOL_SUITE, label("H>=D"))
+            result.record(dev - floor, TOL_SUITE, label("D>=minD"))
+            result.record(floor - resolution, TOL_SUITE, label("minD>=resolution"))
+            result.record(dev, TOL_SUITE, label("D>=0"))
     return result
 
 
@@ -163,10 +162,10 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
                 return lambda i: f"d={d} trial={idx[i]} {check}"
 
             partial_gap = (np.cumsum(comparison, axis=-1) - np.cumsum(merged, axis=-1)).min(axis=-1)
-            result.record(partial_gap, 1e-9, label("partial sums"))
-            result.record(-abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), 1e-9, label("equal totals"))
+            result.record(partial_gap, TOL_SUITE, label("partial sums"))
+            result.record(-abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), TOL_SUITE, label("equal totals"))
             result.record(
-                shannon_entropy(pa) + shannon_entropy(pb) - hw_bound(mv), 1e-9, label("H_A+H_B>=H(W)")
+                shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(mv.W), TOL_SUITE, label("H_A+H_B>=H(W)")
             )
     return result
 
@@ -194,8 +193,8 @@ def suite_convexity(trials: int = 200, seed: int = 0) -> SuiteResult:
         def label(check):
             return lambda i: f"trial={idx[i]} d={d} p={p[i]:.3f} {check}"
 
-        result.record(-abs(d_direct - d_expected), 1e-12, label("D identity"))
-        result.record(-abs(q_direct - q_expected), 1e-12, label("Q identity"))
+        result.record(-abs(d_direct - d_expected), TOL_SUITE_IDENTITY, label("D identity"))
+        result.record(-abs(q_direct - q_expected), TOL_SUITE_IDENTITY, label("Q identity"))
     return result
 
 
@@ -212,7 +211,7 @@ def suite_whitenoise(trials: int = 100, seed: int = 0) -> SuiteResult:
         for _, idx in _groups(trials):
             rho = random_pure_state(d, rng, size=(idx.size, 1))
             worst = np.maximum(worst, abs(device_uncertainty(rho, povm) - closed).max(axis=0))
-        result.record(-worst, 1e-10, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence")
+        result.record(-worst, TOL_SUITE_CLOSED_FORM, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence")
     return result
 
 
@@ -231,11 +230,11 @@ def suite_validity(trials: int = 500, seed: int = 0) -> SuiteResult:
         pb = white_noise_povm(basis_b, beta)
         rho = random_pure_state(2, rng, size=idx.size)
         entropy_sum = shannon_entropy(outcome_probs(rho, pa)) + shannon_entropy(outcome_probs(rho, pb))
-        _, b2 = qw_b2_bound(basis_a, alpha, basis_b, beta)
-        strongest = np.maximum(np.maximum(b1_bound(basis_a, alpha, basis_b, beta), b2), coles_bound(pa, pb))
+        pair = basis_pair_bounds(basis_a, alpha, basis_b, beta)
+        strongest = np.maximum(np.maximum(pair["B1"], pair["B2"]), coles_bound(pa, pb))
         result.record(
             entropy_sum - strongest,
-            1e-9,
+            TOL_SUITE,
             lambda i: f"trial={idx[i]} theta={theta[i]:.3f} alpha={alpha[i]:.3f} beta={beta[i]:.3f}",
         )
     return result
@@ -253,7 +252,7 @@ def suite_coles(trials: int = 500, seed: int = 0) -> SuiteResult:
         b = random_povm(d, nb, rng, size=idx.size)
         rho = random_pure_state(d, rng, size=idx.size)
         entropy_sum = shannon_entropy(outcome_probs(rho, a)) + shannon_entropy(outcome_probs(rho, b))
-        result.record(entropy_sum - coles_bound(a, b), 1e-9, lambda i: f"trial={idx[i]} d={d}")
+        result.record(entropy_sum - coles_bound(a, b), TOL_SUITE, lambda i: f"trial={idx[i]} d={d}")
     return result
 
 
@@ -274,7 +273,7 @@ def suite_dualmap(trials: int = 200, seed: int = 0) -> SuiteResult:
         sharp_probs = outcome_probs(pure, white_noise_povm(basis, alpha))
         result.record(
             -abs(noisy_probs - sharp_probs).max(axis=-1),
-            1e-12,
+            TOL_SUITE_IDENTITY,
             lambda i: f"trial={idx[i]} d={d} alpha={alpha[i]:.3f}",
         )
     return result

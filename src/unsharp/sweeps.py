@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import bounds
-from .linalg import _frozen
+from .linalg import TOL_ANGLE, _frozen
 from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
@@ -49,7 +49,7 @@ class SweepConfig:
         if not self.start < self.stop:
             raise ValueError(f"empty grid: start={self.start}, stop={self.stop}")
         if self.kind == "theta":
-            if not (0.0 <= self.start and self.stop <= np.pi + 1e-12):
+            if not (0.0 <= self.start and self.stop <= np.pi + TOL_ANGLE):
                 raise ValueError("theta grid must lie within [0, pi]")
             for name, value in (("eta", self.eta), ("zeta", self.zeta)):
                 if value is None or not 0.0 <= value <= 1.0:
@@ -144,26 +144,14 @@ def find_crossings(xs: np.ndarray, values: np.ndarray, diff, tol: float = CROSSO
 
 
 def _theta_columns(theta: np.ndarray, eta: float, zeta: float) -> dict[str, np.ndarray]:
-    """Every THETA_COLUMNS value at the (k,) angles theta, as (k,) arrays.
-
-    B1 takes mu from w_1 of the majorization vector, the same vector that
-    gives H(W), Q(W) and B2.
-    """
+    """Every THETA_COLUMNS value (and mu) at the (k,) angles theta, as (k,) arrays."""
     basis_a = spin_basis(theta)
-    mv = bounds.majorization_vector(basis_a, _Z_BASIS)
-    d_eta = bounds.device_uncertainty_white_noise(eta, 2)
-    d_zeta = bounds.device_uncertainty_white_noise(zeta, 2)
-    d_wn = d_eta + d_zeta
-    qw, b2 = bounds._qw_b2(mv, min(eta, zeta), d_wn)
-    return {
-        "theta": theta,
-        "B1": bounds._mu_from_majorization(mv) + min(d_eta, d_zeta),
-        "B2": b2,
-        "logC": bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(_Z_BASIS, zeta)),
-        "D_WN": np.full(theta.shape, d_wn),
-        "HW": bounds.hw_bound(mv),
-        "QW": qw,
-    }
+    columns = bounds.basis_pair_bounds(basis_a, eta, _Z_BASIS, zeta)
+    columns.update(
+        theta=theta,
+        logC=bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(_Z_BASIS, zeta)),
+    )
+    return columns
 
 
 def _damping_columns(e: np.ndarray) -> dict[str, np.ndarray]:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PROB_SUM, TOL_PSD, first_index, float_or_array, in_unit_interval, prob_tol, require_unit_vector
-from .povm import Povm, QubitPovmParams
+from .linalg import TOL_PROB_SUM, TOL_PSD, first_index, float_or_array, in_unit_interval, prob_tol
+from .povm import Povm
 
 
 def entropy_term(x):
@@ -120,34 +120,6 @@ def device_uncertainty(rho, povm: Povm):
     rho = _state_matrix(rho)
     _state_dim(rho, povm)
     return float_or_array(np.einsum("...ij,...ji->...", rho, device_uncertainty_operator(povm)).real)
-
-
-def device_uncertainty_qubit(psi, params: QubitPovmParams) -> float:
-    """Binary-entropy form of the device uncertainty for the Bloch model.
-
-    Averages H_bin of the conditional outcome probabilities over the
-    populations of psi in the two a_vec . sigma eigenstates. Agrees with
-    ``device_uncertainty`` on |psi><psi| and ``qubit_povm(params)``.
-    """
-    psi = require_unit_vector(psi)
-    if psi.shape != (2,):
-        raise DimensionMismatch(f"expected a qubit state vector, got shape {psi.shape}")
-    r = params.bloch_norm
-    if r < 1e-15:
-        # Both conditionals equal a0 / 2 and the populations sum to 1.
-        return binary_entropy(params.a0 / 2.0)
-    direction = (
-        params.a_vec[0] * np.array([[0, 1], [1, 0]])
-        + params.a_vec[1] * np.array([[0, -1j], [1j, 0]])
-        + params.a_vec[2] * np.array([[1, 0], [0, -1]])
-    ) / r
-    _, vecs = np.linalg.eigh(direction)
-    minus, plus = vecs[:, 0], vecs[:, 1]
-    total = 0.0
-    for vec, sign in ((plus, +1), (minus, -1)):
-        population = float(np.abs(np.vdot(vec, psi)) ** 2)
-        total += population * binary_entropy(params.conditional_prob_up(sign))
-    return total
 
 
 def quantum_uncertainty(rho, povm: Povm):

@@ -1,0 +1,56 @@
+"""Independent reference values that the tests compare the package with.
+
+None of these call ``basis_pair_bounds``: each recomputes its quantity from
+the defining formula, so a test against them does not compare the kernel
+with itself.
+"""
+
+import numpy as np
+
+from unsharp.errors import DimensionMismatch
+from unsharp.linalg import require_unit_vector
+from unsharp.povm import QubitPovmParams
+from unsharp.uncertainty import binary_entropy, von_neumann_entropy
+
+
+def mu_oracle(basis_a, basis_b) -> float:
+    """Largest-overlap bound -log2 max_{i,j} |<a_i|b_j>|^2 of two bases (rows)."""
+    overlaps = np.asarray(basis_a).conj() @ np.asarray(basis_b).T
+    return float(-np.log2(np.max(np.abs(overlaps) ** 2)))
+
+
+def berta_reduced_bound(basis_a, basis_b, rho) -> float:
+    """Largest-overlap bound plus the von Neumann entropy of the state.
+
+    Single-system reduction of the memory-assisted entropic bound; used as a
+    numeric cross-check for the white-noise bound chain.
+    """
+    return mu_oracle(basis_a, basis_b) + von_neumann_entropy(rho)
+
+
+def device_uncertainty_qubit(psi, params: QubitPovmParams) -> float:
+    """Binary-entropy form of the device uncertainty for the Bloch model.
+
+    Averages H_bin of the conditional outcome probabilities over the
+    populations of psi in the two a_vec . sigma eigenstates. Agrees with
+    ``device_uncertainty`` on |psi><psi| and ``qubit_povm(params)``.
+    """
+    psi = require_unit_vector(psi)
+    if psi.shape != (2,):
+        raise DimensionMismatch(f"expected a qubit state vector, got shape {psi.shape}")
+    r = params.bloch_norm
+    if r < 1e-15:
+        # Both conditionals equal a0 / 2 and the populations sum to 1.
+        return binary_entropy(params.a0 / 2.0)
+    direction = (
+        params.a_vec[0] * np.array([[0, 1], [1, 0]])
+        + params.a_vec[1] * np.array([[0, -1j], [1j, 0]])
+        + params.a_vec[2] * np.array([[1, 0], [0, -1]])
+    ) / r
+    _, vecs = np.linalg.eigh(direction)
+    minus, plus = vecs[:, 0], vecs[:, 1]
+    total = 0.0
+    for vec, sign in ((plus, +1), (minus, -1)):
+        population = float(np.abs(np.vdot(vec, psi)) ** 2)
+        total += population * binary_entropy(params.conditional_prob_up(sign))
+    return total

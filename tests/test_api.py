@@ -22,7 +22,7 @@ PUBLIC = [
     "ValidationError",
     "ad_coles_closed_form",
     "amplitude_damping_povm",
-    "b1_bound",
+    "basis_pair_bounds",
     "binary_entropy",
     "coles_bound",
     "convex_combination",
@@ -30,13 +30,11 @@ PUBLIC = [
     "device_uncertainty_operator",
     "device_uncertainty_white_noise",
     "f_white_noise",
-    "hw_bound",
     "krishna_bound",
     "majorization_vector",
     "make_povm",
     "min_device_uncertainty",
     "min_pair_device_bound",
-    "mu_bound",
     "mub_fourier_basis",
     "outcome_probs",
     "pair_bound_report",
@@ -44,7 +42,6 @@ PUBLIC = [
     "pure_state_density",
     "quantum_uncertainty",
     "qubit_povm",
-    "qw_b2_bound",
     "random_basis",
     "random_mixed_state",
     "random_povm",
@@ -63,8 +60,9 @@ def test_all_is_pinned():
 
 
 def test_test_oracles_stay_in_their_modules():
+    # The two test oracles live in tests/oracles.py; the benchmark calls sampled_min.
     for name in ("device_uncertainty_qubit", "berta_reduced_bound", "sampled_min"):
         assert not hasattr(unsharp, name)
-    assert callable(unsharp.uncertainty.device_uncertainty_qubit)
-    assert callable(unsharp.bounds.berta_reduced_bound)
+    assert not hasattr(unsharp.uncertainty, "device_uncertainty_qubit")
+    assert not hasattr(unsharp.bounds, "berta_reduced_bound")
     assert callable(unsharp.sampling.sampled_min)

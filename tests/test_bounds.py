@@ -3,22 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from unsharp import bounds
+from unsharp import bounds, suites
 from unsharp.bounds import (
+    MAX_MAJORIZATION_DIM,
     ad_coles_closed_form,
-    b1_bound,
-    berta_reduced_bound,
+    basis_pair_bounds,
     coles_bound,
     device_uncertainty_operator,
     device_uncertainty_white_noise,
-    hw_bound,
     krishna_bound,
     majorization_vector,
     min_device_uncertainty,
     min_pair_device_bound,
-    mu_bound,
     pair_bound_report,
-    qw_b2_bound,
     MajorizationVector,
 )
 from unsharp.errors import DimensionMismatch, NotOrthonormal
@@ -42,7 +39,14 @@ from unsharp.uncertainty import (
     von_neumann_entropy,
 )
 
+from oracles import berta_reduced_bound, mu_oracle
+
 PLUS_MINUS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def sharp(basis_a, basis_b) -> dict:
+    """The basis-pair bounds of two bases at zero noise."""
+    return basis_pair_bounds(basis_a, 1.0, basis_b, 1.0)
 
 
 def ad_pair(e):
@@ -150,7 +154,7 @@ class TestColesBound:
                 basis_a = random_basis(d, rng)
                 basis_b = random_basis(d, rng)
                 lhs = coles_bound(projective_from_basis(basis_a), projective_from_basis(basis_b))
-                assert lhs == pytest.approx(mu_bound(basis_a, basis_b), abs=1e-10)
+                assert lhs == pytest.approx(sharp(basis_a, basis_b)["mu"], abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -163,18 +167,18 @@ class TestColesBound:
 
 class TestMuBound:
     def test_identical_bases(self):
-        assert mu_bound(np.eye(3), np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+        assert sharp(np.eye(3), np.eye(3))["mu"] == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_mub(self):
-        assert mu_bound(np.eye(2), PLUS_MINUS) == pytest.approx(1.0, abs=1e-12)
+        assert sharp(np.eye(2), PLUS_MINUS)["mu"] == pytest.approx(1.0, abs=1e-12)
 
     def test_fourier_d3(self):
         basis_x, basis_z = mub_fourier_basis(3)
-        assert mu_bound(basis_x, basis_z) == pytest.approx(np.log2(3.0), abs=1e-12)
+        assert sharp(basis_x, basis_z)["mu"] == pytest.approx(np.log2(3.0), abs=1e-12)
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormal):
-            mu_bound(np.array([[1.0, 0.0], [0.7, 0.7]]), np.eye(2))
+            sharp(np.array([[1.0, 0.0], [0.7, 0.7]]), np.eye(2))
 
 
 class TestB1Bound:
@@ -182,7 +186,7 @@ class TestB1Bound:
         rng = np.random.default_rng(10)
         basis_a = random_basis(3, rng)
         basis_b = random_basis(3, rng)
-        assert b1_bound(basis_a, 1.0, basis_b, 1.0) == pytest.approx(mu_bound(basis_a, basis_b), abs=1e-12)
+        assert sharp(basis_a, basis_b)["B1"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
 
     def test_qubit_mub_additive_form(self):
         for alpha, beta in ((0.9, 0.6), (0.3, 0.8), (1.0, 0.5)):
@@ -190,15 +194,16 @@ class TestB1Bound:
                 device_uncertainty_white_noise(alpha, 2),
                 device_uncertainty_white_noise(beta, 2),
             )
-            assert b1_bound(np.eye(2), alpha, PLUS_MINUS, beta) == pytest.approx(expected, abs=1e-12)
+            assert basis_pair_bounds(np.eye(2), alpha, PLUS_MINUS, beta)["B1"] == pytest.approx(expected, abs=1e-12)
 
     def test_identical_bases_full_noise(self):
         # B1 stays at one bit while the summed device uncertainty reaches two
-        value = b1_bound(np.eye(2), 0.0, np.eye(2), 0.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        values = basis_pair_bounds(np.eye(2), 0.0, np.eye(2), 0.0)
+        assert values["B1"] == pytest.approx(1.0, abs=1e-12)
         total = device_uncertainty_white_noise(0.0, 2) * 2
         assert total == pytest.approx(2.0)
-        assert value < total
+        assert values["D_WN"] == total
+        assert values["B1"] < total
 
 
 class TestBertaReducedBound:
@@ -208,7 +213,7 @@ class TestBertaReducedBound:
         basis_b = random_basis(2, rng)
         rho = random_pure_state(2, rng)
         assert berta_reduced_bound(basis_a, basis_b, rho) == pytest.approx(
-            mu_bound(basis_a, basis_b), abs=1e-10
+            sharp(basis_a, basis_b)["mu"], abs=1e-10
         )
 
     def test_maximally_mixed(self):
@@ -243,7 +248,7 @@ class TestMajorizationVector:
         mv = majorization_vector(np.eye(3), np.eye(3))
         assert mv.w[0] == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(mv.W, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
-        assert hw_bound(mv) == pytest.approx(0.0, abs=1e-10)
+        assert sharp(np.eye(3), np.eye(3))["HW"] == pytest.approx(0.0, abs=1e-10)
 
     def test_qubit_mub(self):
         mv = majorization_vector(np.eye(2), PLUS_MINUS)
@@ -279,17 +284,19 @@ class TestMajorizationVector:
 
 
 class TestHwBound:
-    def test_half_half(self):
+    def test_half_half(self, monkeypatch):
+        # The kernel's H(W) of a given W: the enumeration is replaced by it.
         mv = MajorizationVector(w=np.array([1.5, 2.0]), W=np.array([0.5, 0.5, 0.0]))
-        assert hw_bound(mv) == pytest.approx(1.0)
+        monkeypatch.setattr(bounds, "_majorization", lambda u: mv)
+        assert sharp(np.eye(2), PLUS_MINUS)["HW"] == pytest.approx(1.0)
 
     def test_qubit_mub_value(self):
         # oracle: entropy of (1/sqrt(2), 1 - 1/sqrt(2)) evaluated directly
         c = 1.0 / np.sqrt(2)
         expected = -(c * np.log2(c) + (1 - c) * np.log2(1 - c))
-        mv = majorization_vector(np.eye(2), PLUS_MINUS)
-        assert hw_bound(mv) == pytest.approx(expected, abs=1e-12)
-        assert hw_bound(mv) == pytest.approx(0.87243, abs=1e-5)
+        hw = sharp(np.eye(2), PLUS_MINUS)["HW"]
+        assert hw == pytest.approx(expected, abs=1e-12)
+        assert hw == pytest.approx(0.87243, abs=1e-5)
 
 
 class TestQwB2Bound:
@@ -298,27 +305,26 @@ class TestQwB2Bound:
         for d in (2, 3):
             basis_a = random_basis(d, rng)
             basis_b = random_basis(d, rng)
-            qw, b2 = qw_b2_bound(basis_a, 1.0, basis_b, 1.0)
-            expected = hw_bound(majorization_vector(basis_a, basis_b))
-            assert qw == pytest.approx(expected, abs=1e-12)
-            assert b2 == pytest.approx(expected, abs=1e-12)
+            values = sharp(basis_a, basis_b)
+            expected = shannon_entropy(majorization_vector(basis_a, basis_b).W)
+            assert values["QW"] == pytest.approx(expected, abs=1e-12)
+            assert values["B2"] == pytest.approx(expected, abs=1e-12)
 
     def test_extreme_noise_collapses_to_device_uncertainty(self):
         rng = np.random.default_rng(17)
         basis_a = random_basis(2, rng)
         basis_b = random_basis(2, rng)
         for alpha in (0.0, 0.4, 1.0):
-            qw, b2 = qw_b2_bound(basis_a, alpha, basis_b, 0.0)
-            assert qw == pytest.approx(0.0, abs=1e-12)
+            values = basis_pair_bounds(basis_a, alpha, basis_b, 0.0)
+            assert values["QW"] == pytest.approx(0.0, abs=1e-12)
             expected = device_uncertainty_white_noise(alpha, 2) + device_uncertainty_white_noise(0.0, 2)
-            assert b2 == pytest.approx(expected, abs=1e-12)
+            assert values["B2"] == pytest.approx(expected, abs=1e-12)
 
     def test_qubit_mub_below_b1(self):
-        _, b2 = qw_b2_bound(np.eye(2), 1.0, PLUS_MINUS, 1.0)
-        b1 = b1_bound(np.eye(2), 1.0, PLUS_MINUS, 1.0)
-        assert b2 == pytest.approx(0.87243, abs=1e-5)
-        assert b1 == pytest.approx(1.0, abs=1e-12)
-        assert b2 < b1
+        values = sharp(np.eye(2), PLUS_MINUS)
+        assert values["B2"] == pytest.approx(0.87243, abs=1e-5)
+        assert values["B1"] == pytest.approx(1.0, abs=1e-12)
+        assert values["B2"] < values["B1"]
 
     def test_b2_at_least_hw(self):
         rng = np.random.default_rng(18)
@@ -327,8 +333,8 @@ class TestQwB2Bound:
             basis_a = random_basis(d, rng)
             basis_b = random_basis(d, rng)
             alpha, beta = float(rng.uniform()), float(rng.uniform())
-            _, b2 = qw_b2_bound(basis_a, alpha, basis_b, beta)
-            assert b2 >= hw_bound(majorization_vector(basis_a, basis_b)) - 1e-9
+            b2 = basis_pair_bounds(basis_a, alpha, basis_b, beta)["B2"]
+            assert b2 >= shannon_entropy(majorization_vector(basis_a, basis_b).W) - 1e-9
 
     def test_validity_suite(self):
         result = suite_validity(trials=300, seed=29)
@@ -484,33 +490,103 @@ class TestAgainstOracles:
                     )
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls of bounds.<name> in a list of their arguments."""
+    calls = []
+    real = getattr(bounds, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, name, counting)
+    return calls
+
+
 class TestPairQuantitiesOnce:
     @pytest.fixture
     def mv_calls(self, monkeypatch):
-        calls = []
-        real = bounds.majorization_vector
+        return count_calls(monkeypatch, "_majorization")
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(bounds, "majorization_vector", counting)
-        return calls
-
-    def test_projective_pair_report(self, mv_calls):
+    def test_projective_pair_report(self, mv_calls, monkeypatch):
+        overlap_calls = count_calls(monkeypatch, "_overlaps")
         rng = np.random.default_rng(43)
         for d in (2, 3, 5):
-            a = projective_from_basis(random_basis(d, rng))
-            b = projective_from_basis(random_basis(d, rng))
+            basis_a, basis_b = random_basis(d, rng), random_basis(d, rng)
+            a, b = projective_from_basis(basis_a), projective_from_basis(basis_b)
             mv_calls.clear()
+            overlap_calls.clear()
             report = pair_bound_report(a, b, random_mixed_state(d, rng))
-            assert len(mv_calls) == 1
-            assert report.values["mu"] == pytest.approx(mu_bound(*mv_calls[0]), abs=1e-12)
-            assert report.values["B1"] == pytest.approx(b1_bound(mv_calls[0][0], 1.0, mv_calls[0][1], 1.0), abs=1e-12)
-            qw, b2 = qw_b2_bound(mv_calls[0][0], 1.0, mv_calls[0][1], 1.0)
-            assert (report.values["QW"], report.values["B2"]) == pytest.approx((qw, b2), abs=1e-12)
+            assert len(mv_calls) == len(overlap_calls) == 1
+            assert report.values["mu"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
+            assert report.values["B1"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
+            hw = shannon_entropy(majorization_vector(basis_a, basis_b).W)
+            assert (report.values["QW"], report.values["B2"]) == pytest.approx((hw, hw), abs=1e-12)
 
     def test_non_projective_pair_report(self, mv_calls):
         a, b = ad_pair(0.3)
         pair_bound_report(a, b)
         assert mv_calls == []
+
+
+class TestBasisPairBounds:
+    """The one kernel of the basis-pair bounds."""
+
+    def test_one_overlap_matrix_per_call(self, monkeypatch):
+        overlap_calls = count_calls(monkeypatch, "_overlaps")
+        mv_calls = count_calls(monkeypatch, "_majorization")
+        rng = np.random.default_rng(44)
+        for d in (2, 3, MAX_MAJORIZATION_DIM + 1):
+            overlap_calls.clear()
+            mv_calls.clear()
+            basis_pair_bounds(random_basis(d, rng, size=3), 0.4, random_basis(d, rng), rng.uniform(size=3))
+            assert len(overlap_calls) == 1
+            assert len(mv_calls) == (d <= MAX_MAJORIZATION_DIM)
+
+    def test_one_overlap_matrix_per_validity_block(self, monkeypatch):
+        overlap_calls = count_calls(monkeypatch, "_overlaps")
+        trials = 2 * suites.BLOCK + 1
+        assert suite_validity(trials=trials, seed=45).passed
+        assert len(overlap_calls) == 3
+
+    def test_keys(self):
+        assert list(sharp(np.eye(2), PLUS_MINUS)) == ["mu", "B1", "HW", "QW", "B2", "D_WN"]
+
+    def test_above_majorization_limit(self):
+        rng = np.random.default_rng(46)
+        d = MAX_MAJORIZATION_DIM + 1
+        basis_a, basis_b = random_basis(d, rng), random_basis(d, rng)
+        values = basis_pair_bounds(basis_a, 0.7, basis_b, 0.9)
+        assert list(values) == ["mu", "B1", "D_WN"]
+        assert values["mu"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
+        d_alpha, d_beta = device_uncertainty_white_noise(0.7, d), device_uncertainty_white_noise(0.9, d)
+        assert values["B1"] == pytest.approx(values["mu"] + min(d_alpha, d_beta), abs=1e-12)
+        assert values["D_WN"] == pytest.approx(d_alpha + d_beta, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sharp_limit(self, d):
+        rng = np.random.default_rng(47 + d)
+        values = sharp(random_basis(d, rng), random_basis(d, rng))
+        assert values["B1"] == values["mu"]
+        assert values["B2"] == pytest.approx(values["HW"], abs=1e-12)
+        assert values["D_WN"] == 0.0
+
+    def test_b2_at_right_angle(self):
+        # The qubit pair at theta = pi/2: the paper's B2(pi/2) = 0.8724 < B1 = 1.
+        values = sharp(np.eye(2), PLUS_MINUS)
+        assert round(values["B2"], 4) == 0.8724
+        assert values["B2"] == values["HW"]
+
+    def test_one_outcome_pair(self):
+        values = sharp(np.eye(1), np.eye(1))
+        assert values == dict(mu=0.0, B1=0.0, HW=0.0, QW=0.0, B2=0.0, D_WN=0.0)
+
+    def test_bad_noise_level(self):
+        with pytest.raises(ValueError):
+            basis_pair_bounds(np.eye(2), 1.5, PLUS_MINUS, 1.0)
+        with pytest.raises(ValueError):
+            basis_pair_bounds(np.eye(2), 1.0, PLUS_MINUS, np.array([0.5, np.nan]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sharp(np.eye(2), np.eye(3))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from unsharp.bounds import MAX_MAJORIZATION_DIM, mu_bound
+from unsharp.bounds import MAX_MAJORIZATION_DIM
 from unsharp.cli import main
 from unsharp.linalg import DensityMatrix
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
@@ -161,11 +161,71 @@ class TestBounds:
         assert main(["bounds", *paths]) == 0
         report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         values = report["values"]
-        assert values["mu"] == pytest.approx(mu_bound(basis_a, basis_b), abs=1e-12)
+        mu = -np.log2(np.max(np.abs(basis_a.conj() @ basis_b.T) ** 2))
+        assert values["mu"] == pytest.approx(mu, abs=1e-12)
         assert values["B1"] == values["mu"]
         assert values["D_WN"] == 0.0
         assert not {"HW", "QW", "B2"} & set(values)
         assert any(f"d <= {MAX_MAJORIZATION_DIM}" in note for note in report["notes"])
+
+
+class TestInputBoundary:
+    """Malformed files and settings end in a typed error and exit 2, never a traceback."""
+
+    @pytest.fixture
+    def run(self, capsys):
+        def run(argv, code=2, kind="ConfigError"):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"{kind}: ")
+            assert "Traceback" not in captured.err
+            return captured.err
+
+        return run
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"steps": None}, {"eta": [1]}, {"steps": 2.7}, {"start": "zero"}, {"out": 5}],
+        ids=["steps-null", "eta-list", "steps-fraction", "start-text", "out-number"],
+    )
+    def test_bad_config_value(self, files, run, setting):
+        config = {"eta": 1.0, "zeta": 1.0, "out": str(files["tmp"] / "t.csv"), **setting}
+        path = files["tmp"] / "c.json"
+        path.write_text(json.dumps(config))
+        (key,) = setting
+        assert key in run(["sweep-theta", "--config", str(path)])
+        assert not (files["tmp"] / "t.csv").exists()
+
+    def test_deeply_nested_config(self, files, run):
+        path = files["tmp"] / "deep.json"
+        path.write_text("[" * 100_000)
+        run(["sweep-damping", "--config", str(path), "--out", str(files["tmp"] / "d.csv")])
+
+    def test_unwritable_out(self, files, run):
+        out = files["tmp"] / "missing" / "t.csv"
+        assert str(out) in run(["sweep-damping", "--steps", "5", "--out", str(out)])
+
+    def test_non_utf8_input(self, files, run):
+        path = files["tmp"] / "latin1.json"
+        path.write_bytes('{"dim": 2, "effects": "\xe9"}'.encode("latin-1"))
+        run(["validate", str(path)], kind="ParseError")
+
+    def test_deeply_nested_input(self, files, run):
+        path = files["tmp"] / "deep.json"
+        path.write_text("[" * 100_000)
+        run(["validate", str(path)], kind="ParseError")
+
+    @pytest.mark.parametrize("dim", [2.7, "2", True, float("inf")])
+    def test_non_integer_dim(self, files, run, dim):
+        doc = povm_to_json(projective_from_basis(np.eye(2)))
+        path = files["tmp"] / "dim.json"
+        path.write_text(json.dumps({**doc, "dim": dim}))
+        run(["validate", str(path)], kind="ParseError")
+
+    def test_integral_float_dim_is_accepted(self, files, capsys):
+        path = files["tmp"] / "dim.json"
+        path.write_text(json.dumps({**povm_to_json(projective_from_basis(np.eye(2))), "dim": 2.0}))
+        assert main(["validate", str(path)]) == 0
 
 
 class TestSweepTheta:

@@ -38,6 +38,12 @@ class TestPovmSchema:
         with pytest.raises(ParseError):
             povm_from_json({"dim": 2})
 
+    @pytest.mark.parametrize("dim", [2.7, "2", True, None, float("nan")])
+    def test_non_integer_dim(self, dim):
+        doc = povm_to_json(projective_from_basis(np.eye(2)))
+        with pytest.raises(ParseError, match="'dim' must be an integer"):
+            povm_from_json({**doc, "dim": dim})
+
     def test_bad_shape(self):
         with pytest.raises(ParseError):
             povm_from_json({"dim": 2, "effects": [[[1.0, 0.0], [0.0, 1.0]]]})
@@ -65,6 +71,11 @@ class TestStateSchema:
         doc = {"dim": 2, "vector": [[1.0, 0.0], [1.0, 0.0]]}
         with pytest.raises(TraceNotOne):
             state_from_json(doc)
+
+    @pytest.mark.parametrize("dim", [2.7, "2", False])
+    def test_non_integer_dim(self, dim):
+        with pytest.raises(ParseError, match="'dim' must be an integer"):
+            state_from_json({"dim": dim, "vector": [[1.0, 0.0], [0.0, 0.0]]})
 
     def test_missing_payload(self):
         with pytest.raises(ParseError):

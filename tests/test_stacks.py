@@ -63,6 +63,20 @@ def assert_stack(stacked, singles):
     np.testing.assert_allclose(stacked, np.array(singles), atol=TOL, rtol=0)
 
 
+def assert_basis_pair_stack(basis_a, alpha, basis_b, beta):
+    """basis_pair_bounds on broadcast stacks equals one call per stack item."""
+    stacked = bounds.basis_pair_bounds(basis_a, alpha, basis_b, beta)
+    shape = np.broadcast_shapes(np.shape(basis_a)[:-2], np.shape(alpha), np.shape(basis_b)[:-2], np.shape(beta))
+    d = np.shape(basis_a)[-1]
+    basis_a, basis_b = np.broadcast_to(basis_a, shape + (d, d)), np.broadcast_to(basis_b, shape + (d, d))
+    alpha, beta = np.broadcast_to(alpha, shape), np.broadcast_to(beta, shape)
+    items = [bounds.basis_pair_bounds(basis_a[i], alpha[i], basis_b[i], beta[i]) for i in np.ndindex(shape)]
+    assert list(stacked) == list(items[0])
+    for name, values in stacked.items():
+        assert values.shape == shape
+        assert_stack(values.ravel(), [item[name] for item in items])
+
+
 @pytest.fixture(params=[2, 3, 4])
 def d(request):
     return request.param
@@ -308,15 +322,22 @@ class TestBoundStacks:
         basis_a = random_basis(d, rng, size=STACK)
         basis_b = random_basis(d, rng, size=STACK)
         alpha, beta = rng.uniform(size=STACK), rng.uniform(size=STACK)
-        items = list(zip(basis_a, alpha, basis_b, beta))
-        assert_stack(bounds.mu_bound(basis_a, basis_b), [bounds.mu_bound(a, b) for a, _, b, _ in items])
-        assert_stack(bounds.b1_bound(basis_a, alpha, basis_b, beta), [bounds.b1_bound(*x) for x in items])
-        qw, b2 = bounds.qw_b2_bound(basis_a, alpha, basis_b, beta)
-        singles = [bounds.qw_b2_bound(*x) for x in items]
-        assert_stack(qw, [s[0] for s in singles])
-        assert_stack(b2, [s[1] for s in singles])
-        assert all(type(v) is float for v in singles[0])
-        assert type(bounds.b1_bound(*items[0])) is float
+        assert_basis_pair_stack(basis_a, alpha, basis_b, beta)
+        single = bounds.basis_pair_bounds(basis_a[0], alpha[0], basis_b[0], beta[0])
+        assert list(single) == ["mu", "B1", "HW", "QW", "B2", "D_WN"]
+        assert all(type(v) is float for v in single.values())
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_basis_pair_bounds_broadcast(self, dim, rng):
+        basis_a = random_basis(dim, rng, size=STACK)
+        basis_b = random_basis(dim, rng, size=STACK)
+        alpha, beta = rng.uniform(size=STACK), rng.uniform(size=STACK)
+        assert_basis_pair_stack(basis_a, alpha, basis_b, beta)
+        # One pair against a noise grid, a stack of pairs at one noise level,
+        # and a (STACK, 1) stack of pairs against (STACK,) noise levels.
+        assert_basis_pair_stack(basis_a[0], alpha, basis_b[0], beta)
+        assert_basis_pair_stack(basis_a, 0.5, basis_b, 1.0)
+        assert_basis_pair_stack(basis_a[:, None], alpha, basis_b[:, None], beta)
 
     def test_majorization_vector(self, d, rng):
         basis_a = random_basis(d, rng, size=STACK)
@@ -327,8 +348,6 @@ class TestBoundStacks:
         singles = [bounds.majorization_vector(a, b) for a, b in zip(basis_a, basis_b)]
         assert_stack(mv.w, [s.w for s in singles])
         assert_stack(mv.W, [s.W for s in singles])
-        assert_stack(bounds.hw_bound(mv), [bounds.hw_bound(s) for s in singles])
-        assert type(bounds.hw_bound(singles[0])) is float
 
     def test_white_noise_closed_form(self):
         alphas = np.linspace(0.0, 1.0, 11)

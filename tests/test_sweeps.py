@@ -4,6 +4,7 @@ import pytest
 from unsharp import bounds, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
 from unsharp.povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
+from unsharp.uncertainty import f_white_noise, shannon_entropy
 from unsharp.sweeps import (
     CROSSOVER_TOL,
     DAMPING_COLUMNS,
@@ -143,14 +144,16 @@ class TestDampingSweep:
 
 
 def reference_theta_row(theta, eta, zeta):
+    """mu = -log2 (w_1 - 1)^2 and Q(W) = sum_k f(W_k, min(eta, zeta)) from the
+    majorization vector, without the package's basis-pair kernel."""
     basis_a, basis_z = spin_basis(theta), np.eye(2, dtype=complex)
     mv = bounds.majorization_vector(basis_a, basis_z)
     d_eta = device_uncertainty_white_noise(eta, 2)
     d_zeta = device_uncertainty_white_noise(zeta, 2)
-    qw, b2 = bounds._qw_b2(mv, min(eta, zeta), d_eta + d_zeta)
-    b1 = bounds._mu_from_majorization(mv) + min(d_eta, d_zeta)
+    qw = sum(f_white_noise(float(p), min(eta, zeta), 2) for p in mv.padded())
+    b1 = float(-np.log2((mv.w[0] - 1.0) ** 2)) + min(d_eta, d_zeta)
     log_c = bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(basis_z, zeta))
-    return (theta, b1, b2, log_c, d_eta + d_zeta, bounds.hw_bound(mv), qw)
+    return (theta, b1, qw + d_eta + d_zeta, log_c, d_eta + d_zeta, shannon_entropy(mv.W), qw)
 
 
 def reference_damping_row(e):
@@ -313,10 +316,10 @@ class TestSweepWork:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        names = ("majorization_vector", "coles_bound", "_theta_columns", "_damping_columns")
+        names = ("_majorization", "coles_bound", "_theta_columns", "_damping_columns")
         counts = dict.fromkeys(names, 0)
         shapes = []
-        for name in ("majorization_vector", "coles_bound"):
+        for name in ("_majorization", "coles_bound"):
             _count_calls(monkeypatch, bounds, name, counts)
         for name in ("_theta_columns", "_damping_columns"):
             _count_calls(monkeypatch, sweeps, name, counts, shapes)
@@ -349,9 +352,9 @@ class TestSweepWork:
         assert shapes[0] == (steps,)
         total_steps = sum(n for n, _, _ in searches)
         assert counts["_theta_columns"] == 1 + total_steps
-        assert counts["majorization_vector"] == counts["coles_bound"] == 1 + total_steps
+        assert counts["_majorization"] == counts["coles_bound"] == 1 + total_steps
         (b2_b1_steps, b2_b1, _), _, _ = searches
-        assert b2_b1["majorization_vector"] == b2_b1_steps
+        assert b2_b1["_majorization"] == b2_b1_steps
         # Bisection halves every bracket per call: the step count is the
         # number of halvings of one grid interval, whatever the bracket count.
         halvings = int(np.ceil(np.log2((np.pi / (steps - 1)) / CROSSOVER_TOL)))

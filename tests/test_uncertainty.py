@@ -18,7 +18,6 @@ from unsharp.suites import suite_chain, suite_convexity, suite_dualmap
 from unsharp.uncertainty import (
     binary_entropy,
     device_uncertainty,
-    device_uncertainty_qubit,
     entropy_term,
     f_white_noise,
     outcome_probs,
@@ -26,6 +25,8 @@ from unsharp.uncertainty import (
     shannon_entropy,
     von_neumann_entropy,
 )
+
+from oracles import device_uncertainty_qubit
 
 # Independent oracle for the repeated two-outcome entropy values.
 H_THREE_QUARTERS = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
