@@ -2,11 +2,10 @@
 
 Single-measurement bounds: the resolution bound (-log2 of the largest effect
 norm) and its improvement, the device uncertainty minimized over all states.
-Pair bounds: the effect-sandwich bound -log2 C; for two bases, one kernel
-``basis_pair_bounds`` for the largest-overlap bound, its white-noise
-extension B1, the direct-sum majorization bounds H(W) / Q(W) / B2 and the
-total white-noise device uncertainty; and the minimized pair device
-uncertainty with its amplitude-damping closed form.
+Pair bounds: the effect-sandwich bound -log2 C, ``basis_pair_bounds`` for
+two bases (the largest-overlap bound, B1, H(W) / Q(W) / B2 and the total
+white-noise device uncertainty), and the minimized pair device uncertainty
+with its amplitude-damping closed form.
 
 Every bound except ``pair_bound_report`` broadcasts over leading stack axes
 of its POVMs, bases and noise levels, returning a Python float for unstacked
@@ -81,8 +80,7 @@ def device_uncertainty_white_noise(alpha, d: int):
 
     With alpha_d = (1 - alpha) / d this is h(alpha + alpha_d) +
     (d - 1) h(alpha_d), elementwise over an array alpha; it is
-    state-independent, decreases monotonically in alpha, and vanishes for
-    the one-outcome measurement of d = 1.
+    state-independent, decreases in alpha, and vanishes at d = 1.
     """
     if not in_unit_interval(alpha):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -197,25 +195,16 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
 
 
 def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
-    """The basis-pair bounds of two bases under white noise alpha and beta.
+    """mu, B1, HW, QW, B2 and D_WN of two bases under white noise alpha, beta.
 
-    All come from one overlap matrix U[i, j] = <a_i|b_j>:
-
-    - ``mu``: the largest-overlap bound -log2 max_{i,j} |U_ij|^2;
-    - ``B1`` = mu + min(D_WN(alpha), D_WN(beta)), so the sharp limit
-      alpha = beta = 1 gives mu;
-    - ``HW``: the Shannon entropy of the majorization increments W;
-    - ``QW``: the white-noise kernel at the larger noise level,
-      min(alpha, beta), summed over W zero-padded to length 2d;
-    - ``B2`` = Q(W) + D_WN: H(W) when alpha = beta = 1, D_WN when
-      min(alpha, beta) = 0;
-    - ``D_WN`` = D_WN(alpha) + D_WN(beta), the closed-form device
-      uncertainties of ``device_uncertainty_white_noise``.
-
-    HW, QW and B2 need the subset enumeration of ``majorization_vector``
-    and are omitted above MAX_MAJORIZATION_DIM. Stacks of bases (..., d, d)
-    and of noise levels broadcast; every value is a float for unstacked
-    input and an array of the broadcast stack shape otherwise.
+    All from one overlap matrix U[i, j] = <a_i|b_j>: mu = -log2 max |U_ij|^2,
+    D_WN = D_WN(alpha) + D_WN(beta) in closed form, B1 = mu + min(D_WN(alpha),
+    D_WN(beta)), HW = H(W) of the majorization increments, QW the white-noise
+    kernel at min(alpha, beta) summed over W padded to length 2d, and
+    B2 = QW + D_WN. At alpha = beta = 1, B1 = mu and B2 = HW; at
+    min(alpha, beta) = 0, B2 = D_WN. HW, QW and B2 are omitted above
+    MAX_MAJORIZATION_DIM. Stacks of bases and noise levels broadcast: floats
+    for unstacked input, arrays of the broadcast stack shape otherwise.
     """
     u = _overlaps(basis_a, basis_b)
     d = u.shape[-1]

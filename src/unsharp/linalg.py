@@ -26,19 +26,16 @@ TOL_RECONSTRUCT = 1e-8
 TOL_PROB_SUM = 1e-8
 # Largest eigenvalue deviation from 0 or 1 of a rank-1 projective effect.
 TOL_PROJECTIVE = 1e-9
-# Slack of the Bloch constraint |a_vec| <= a0 <= 2 - |a_vec| of QubitPovmParams.
+# Slack of the Bloch constraint of QubitPovmParams and of a theta grid over pi.
 TOL_BLOCH = 1e-12
-# Slack of a theta sweep's upper end over pi, so that a stop of float(pi) passes.
 TOL_ANGLE = 1e-12
-# Slack tolerances of the verify suites: entropy inequalities and majorization
-# sums; the mixture and dual-map identities; and the state independence of the
-# white-noise device uncertainty against its closed form.
+# Suite slacks: inequalities and majorization sums; the mixture and dual-map
+# identities; white-noise state independence against the closed form.
 TOL_SUITE = 1e-9
 TOL_SUITE_IDENTITY = 1e-12
 TOL_SUITE_CLOSED_FORM = 1e-10
-# A random draw is redrawn when it is this close to degenerate: a state vector
-# of smaller norm, or a basis R-diagonal entry (absolute) or POVM effect-sum
-# eigenvalue (relative to the largest) below TOL_DRAW_RANK.
+# Random draws below these are redrawn: a state vector's norm; a basis's
+# |R_ii| and a POVM's smallest over largest effect-sum eigenvalue.
 TOL_DRAW_NORM = 1e-12
 TOL_DRAW_RANK = 1e-10
 
