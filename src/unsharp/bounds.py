@@ -210,7 +210,7 @@ def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
     d = u.shape[-1]
     d_alpha = device_uncertainty_white_noise(alpha, d)
     d_beta = device_uncertainty_white_noise(beta, d)
-    d_wn = np.add(d_alpha, d_beta)
+    d_wn = d_alpha + d_beta
     # mu through w_1 - 1 = max |U_ij|, the route the pinned sweep outputs use.
     w1 = 1.0 + np.sqrt((np.abs(u) ** 2).max(axis=(-2, -1)))
     mu = _neg_log2((w1 - 1.0) ** 2)
@@ -221,8 +221,7 @@ def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
         qw = np.sum(_white_noise_kernel(mv.padded(), noisier, d), axis=-1)
         values.update(HW=shannon_entropy(mv.W), QW=qw, B2=qw + d_wn)
     values["D_WN"] = d_wn
-    shape = np.broadcast_shapes(u.shape[:-2], np.shape(alpha), np.shape(beta))
-    return {name: float_or_array(np.broadcast_to(value, shape)) for name, value in values.items()}
+    return {name: float_or_array(v) for name, v in zip(values, np.broadcast_arrays(*values.values()))}
 
 
 def ad_coles_closed_form(e):
