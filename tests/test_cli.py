@@ -174,8 +174,8 @@ class TestInputBoundary:
 
     @pytest.fixture
     def run(self, capsys):
-        def run(argv, code=2, kind="ConfigError"):
-            assert main(argv) == code
+        def run(argv, kind="ConfigError"):
+            assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith(f"{kind}: ")
             assert "Traceback" not in captured.err
