@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PROJECTIVE, DensityMatrix, _frozen, float_or_array, in_unit_interval, require_orthonormal
-from .povm import Povm
+from .linalg import TOL_PROJECTIVE, DensityMatrix, _frozen, float_or_array, require_orthonormal, require_unit_interval
+from .povm import Povm, require_same_dim
 from .uncertainty import (
     _white_noise_kernel,
     device_uncertainty,
@@ -69,8 +69,7 @@ def min_pair_device_bound(a: Povm, b: Povm):
     eigenvalue of the summed device-uncertainty operators and is attained on
     a pure state.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
+    require_same_dim(a, b)
     m = device_uncertainty_operator(a) + device_uncertainty_operator(b)
     return float_or_array(np.linalg.eigvalsh(m)[..., 0])
 
@@ -82,11 +81,9 @@ def device_uncertainty_white_noise(alpha, d: int):
     (d - 1) h(alpha_d), elementwise over an array alpha; it is
     state-independent, decreases in alpha, and vanishes at d = 1.
     """
-    if not in_unit_interval(alpha):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    a = require_unit_interval(alpha, "alpha")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    a = np.asarray(alpha, dtype=float)
     alpha_d = (1.0 - a) / d
     return float_or_array(entropy_term(a + alpha_d) + (d - 1) * entropy_term(alpha_d))
 
@@ -105,8 +102,7 @@ def coles_bound(a: Povm, b: Povm):
     For projective pairs this reduces to the largest-overlap bound mu of
     ``basis_pair_bounds``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
+    require_same_dim(a, b)
     return _neg_log2(np.minimum(_sandwiched_max(a, b), _sandwiched_max(b, a)))
 
 
@@ -230,9 +226,7 @@ def ad_coles_closed_form(e):
     Valid for equal transition probabilities on both measurements. The value
     is log2(3) at e = 0 and 0 at e = 1. Elementwise over an array e.
     """
-    if not in_unit_interval(e):
-        raise ValueError(f"transition probability e must be in [0, 1], got {e}")
-    e = np.asarray(e, dtype=float)
+    e = require_unit_interval(e, "transition probability e")
     inner = (
         2.0 + 2.0 * e - e**2 + 3.0 * e**3 + (1.0 - e) * e * np.sqrt(3.0 * (4.0 + 4.0 * e + 3.0 * e**2))
     ) / 6.0
@@ -279,8 +273,6 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
     With a state, the outcome entropies and the device/quantum split are
     added for both measurements.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
     values = {
         "krishna_A": krishna_bound(a),
         "krishna_B": krishna_bound(b),

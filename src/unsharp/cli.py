@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bounds import krishna_bound, min_device_uncertainty, pair_bound_report
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .serialize import json_int, load_povm, load_state
 from .suites import SUITES, run_suite
 from .sweeps import SweepConfig, damping_sweep, theta_sweep
@@ -34,22 +34,18 @@ def _emit_error(kind: str, message: str, as_json: bool) -> None:
         print(f"{kind}: {message}", file=sys.stderr)
 
 
-def _load_inputs(loader, path, as_json: bool):
-    """Load a JSON input file, mapping failures to (payload, exit_code)."""
+def _load(loader, path):
+    """loader(path) with the path prefixed to any error; an unreadable or malformed file is a ParseError."""
     try:
-        return loader(path), None
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ParseError) as exc:
-        _emit_error("ParseError", f"{path}: {exc}", as_json)
-        return None, EXIT_USAGE
+        return loader(path)
     except ValidationError as exc:
-        _emit_error(type(exc).__name__, f"{path}: {exc}", as_json)
-        return None, EXIT_FAIL
+        raise type(exc)(f"{path}: {exc}") from None
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError covers bad JSON and bad text
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def cmd_validate(args) -> int:
-    povm, code = _load_inputs(load_povm, args.povm, args.json)
-    if povm is None:
-        return code
+    povm = _load(load_povm, args.povm)
     payload = {
         "valid": True,
         "dim": povm.dim,
@@ -69,24 +65,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    povm, code = _load_inputs(load_povm, args.povm, args.format == "json")
-    if povm is None:
-        return code
-    rho, code = _load_inputs(load_state, args.state, args.format == "json")
-    if rho is None:
-        return code
-    try:
-        row = {
-            "dim": povm.dim,
-            "H": shannon_entropy(outcome_probs(rho, povm)),
-            "D": device_uncertainty(rho, povm),
-            "Q": quantum_uncertainty(rho, povm),
-            "krishna": krishna_bound(povm),
-            "minD": min_device_uncertainty(povm),
-        }
-    except ValidationError as exc:
-        _emit_error(type(exc).__name__, str(exc), args.format == "json")
-        return EXIT_FAIL
+    povm = _load(load_povm, args.povm)
+    rho = _load(load_state, args.state)
+    row = {
+        "dim": povm.dim,
+        "H": shannon_entropy(outcome_probs(rho, povm)),
+        "D": device_uncertainty(rho, povm),
+        "Q": quantum_uncertainty(rho, povm),
+        "krishna": krishna_bound(povm),
+        "minD": min_device_uncertainty(povm),
+    }
     if args.format == "json":
         print(json.dumps(row))
     else:
@@ -96,30 +84,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    povm_a, code = _load_inputs(load_povm, args.povm_a, True)
-    if povm_a is None:
-        return code
-    povm_b, code = _load_inputs(load_povm, args.povm_b, True)
-    if povm_b is None:
-        return code
-    rho = None
-    if args.state is not None:
-        rho, code = _load_inputs(load_state, args.state, True)
-        if rho is None:
-            return code
-    try:
-        report = pair_bound_report(povm_a, povm_b, rho)
-    except ValidationError as exc:
-        _emit_error(type(exc).__name__, str(exc), True)
-        return EXIT_FAIL
-    print(json.dumps(report.to_dict()))
+    povm_a = _load(load_povm, args.povm_a)
+    povm_b = _load(load_povm, args.povm_b)
+    rho = None if args.state is None else _load(load_state, args.state)
+    print(json.dumps(pair_bound_report(povm_a, povm_b, rho).to_dict()))
     return EXIT_OK
 
 
 def _number(value, key: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
@@ -130,53 +105,51 @@ def _path(value, key: str) -> str:
 
 
 def _sweep_config(args, kind: str) -> SweepConfig:
-    config = {}
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise ValueError("config file must contain a JSON object")
+    """The effective settings, CLI flag > config file > default; any bad one raises ConfigError."""
+    try:
+        config = {}
+        if args.config is not None:
+            with open(args.config, encoding="utf-8") as handle:
+                config = json.load(handle)
+            if not isinstance(config, dict):
+                raise ValueError("config file must contain a JSON object")
 
-    def setting(key: str, default, convert=_number):
-        """CLI flag > config file > default; an unset optional setting stays None."""
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        return None if value is None and default is None else convert(value, key)
+        def setting(key: str, default, convert=_number):
+            """An unset optional setting stays None."""
+            value = getattr(args, key, None)
+            if value is None:
+                value = config.get(key, default)
+            return None if value is None and default is None else convert(value, key)
 
-    if kind == "theta":
-        return SweepConfig(
-            kind="theta",
-            start=setting("start", 0.0),
-            stop=setting("stop", float(np.pi)),
-            steps=setting("steps", 181, json_int),
-            eta=setting("eta", None),
-            zeta=setting("zeta", None),
-            out=setting("out", None, _path),
-        )
-    return SweepConfig(
-        kind="damping",
-        start=setting("start", 0.0),
-        stop=setting("stop", 1.0),
-        steps=setting("steps", 101, json_int),
-        out=setting("out", None, _path),
-    )
+        if kind == "theta":
+            sweep = SweepConfig(
+                kind="theta",
+                start=setting("start", 0.0),
+                stop=setting("stop", float(np.pi)),
+                steps=setting("steps", 181, json_int),
+                eta=setting("eta", None),
+                zeta=setting("zeta", None),
+                out=setting("out", None, _path),
+            )
+        else:
+            sweep = SweepConfig(
+                kind="damping",
+                start=setting("start", 0.0),
+                stop=setting("stop", 1.0),
+                steps=setting("steps", 101, json_int),
+                out=setting("out", None, _path),
+            )
+        if sweep.out is None:
+            raise ValueError("an output path is required (--out or config file)")
+        return sweep
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError covers bad JSON and every bad setting
+        raise ConfigError(str(exc)) from None
 
 
 def _run_sweep(args, kind: str) -> int:
-    try:
-        config = _sweep_config(args, kind)
-        if config.out is None:
-            raise ValueError("an output path is required (--out or config file)")
-    except (OSError, RecursionError, ValueError) as exc:  # ValueError covers bad JSON and bad text
-        _emit_error("ConfigError", str(exc), False)
-        return EXIT_USAGE
+    config = _sweep_config(args, kind)
     result = theta_sweep(config) if kind == "theta" else damping_sweep(config)
-    try:
-        result.write_csv(config.out)
-    except OSError as exc:
-        _emit_error("ConfigError", f"cannot write {config.out}: {exc}", False)
-        return EXIT_USAGE
+    result.write_csv(config.out)
     for name, points in result.crossovers.items():
         formatted = ", ".join(f"{x:.4f}" for x in points) if points else "none"
         print(f"crossover {name}: {formatted}")
@@ -193,12 +166,7 @@ def cmd_sweep_damping(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        result = run_suite(args.suite, args.trials, args.seed)
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        _emit_error("ConfigError", str(message), False)
-        return EXIT_USAGE
+    result = run_suite(args.suite, args.trials, args.seed)
     print(result.summary())
     print(f"  worst at: {result.worst_label}")
     for message in result.messages:
@@ -258,8 +226,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where typed errors become exit codes.
+
+    validate --json, analyze --format json and bounds print errors as JSON on
+    stdout, every other command as text on stderr.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    as_json = args.command == "bounds" or getattr(args, "json", False) or getattr(args, "format", None) == "json"
+    try:
+        return args.func(args)
+    except (ValidationError, ParseError, ConfigError) as exc:
+        _emit_error(type(exc).__name__, str(exc), as_json)
+        return EXIT_FAIL if isinstance(exc, ValidationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -45,5 +45,9 @@ class ParseError(ValueError):
     """A JSON document does not match the expected schema."""
 
 
+class ConfigError(ValueError):
+    """A command setting (flag, config file value or output path) is missing or invalid."""
+
+
 class DegenerateDraw(RuntimeError):
     """Random generator failed to produce a usable draw after retries."""

@@ -62,10 +62,12 @@ def float_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-def in_unit_interval(x) -> bool:
-    """True when every entry of x lies in [0, 1]; NaN fails."""
-    x = np.asarray(x, dtype=float)
-    return x.size == 0 or bool(x.min() >= 0.0 and x.max() <= 1.0)
+def require_unit_interval(x, name: str) -> np.ndarray:
+    """Return x as a float array, raising ValueError unless every entry lies in [0, 1]; NaN fails."""
+    a = np.asarray(x, dtype=float)
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+    return a
 
 
 def first_index(mask: np.ndarray) -> tuple[int, ...]:
@@ -113,33 +115,33 @@ def prob_tol(d: int) -> float:
     return 2.0 * (TOL_TRACE + trace_norm * max((d + 1) * e, d * TOL_RECONSTRUCT))
 
 
-def require_hermitian(m, tol: float = TOL_HERMITIAN) -> np.ndarray:
-    """Return m as a complex array, raising NotHermitian beyond tol.
+def require_hermitian(m) -> np.ndarray:
+    """Return m as a complex array, raising NotHermitian beyond TOL_HERMITIAN.
 
     m is one (d, d) matrix or a stack (..., d, d); for a stack the error names
-    the first matrix, in C order, whose defect exceeds tol.
+    the first matrix, in C order, whose defect exceeds it.
     """
     m = _as_square_matrix(m)
     defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = defect > tol
+    bad = defect > TOL_HERMITIAN
     if bad.any():
         index = first_index(bad)
-        raise NotHermitian(f"{item_prefix('matrix', index)}max |m - m^dagger| entry is {defect[index]:.3e} > {tol:.1e}")
+        raise NotHermitian(f"{item_prefix('matrix', index)}max |m - m^dagger| entry is {defect[index]:.3e} > {TOL_HERMITIAN:.1e}")
     return m
 
 
-def require_unit_vector(v, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
-    """Return v as a complex 1-D array, raising NotNormalized beyond tol."""
+def require_unit_vector(v) -> np.ndarray:
+    """Return v as a complex 1-D array, raising NotNormalized beyond TOL_ORTHONORMAL."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= tol:
-        raise NotNormalized(f"vector norm is {norm:.12f}, expected 1 within {tol:.1e}")
+    if not abs(norm - 1.0) <= TOL_ORTHONORMAL:
+        raise NotNormalized(f"vector norm is {norm:.12f}, expected 1 within {TOL_ORTHONORMAL:.1e}")
     return v
 
 
-def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
+def require_orthonormal(basis) -> np.ndarray:
     """Check that the rows of basis form a complete orthonormal set.
 
     Returns the basis as a (..., d, d) complex array whose rows are the
@@ -150,11 +152,11 @@ def require_orthonormal(basis, tol: float = TOL_ORTHONORMAL) -> np.ndarray:
         raise ValueError(f"expected d vectors of length d, got shape {basis.shape}")
     gram = basis.conj() @ basis.swapaxes(-1, -2)
     defect = abs(gram - np.eye(basis.shape[-1])).max(axis=(-2, -1))
-    ok = defect <= tol
+    ok = defect <= TOL_ORTHONORMAL
     if not ok.all():
         index = first_index(~ok)
         raise NotOrthonormal(
-            f"{item_prefix('basis', index)}max Gram-matrix deviation from identity is {defect[index]:.3e} > {tol:.1e}"
+            f"{item_prefix('basis', index)}max Gram-matrix deviation from identity is {defect[index]:.3e} > {TOL_ORTHONORMAL:.1e}"
         )
     return basis
 

@@ -25,11 +25,11 @@ from .linalg import (
     _frozen,
     first_index,
     float_or_array,
-    in_unit_interval,
     item_prefix,
     require_finite,
     require_hermitian,
     require_orthonormal,
+    require_unit_interval,
 )
 
 PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -98,6 +98,12 @@ class Povm:
         A float for a single POVM, an array of the stack's shape otherwise.
         """
         return float_or_array(_completeness_residual(self.effects))
+
+
+def require_same_dim(a: Povm, b: Povm) -> None:
+    """Raise DimensionMismatch unless a and b act on the same Hilbert space."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
 
 
 def _completeness_residual(effects: np.ndarray) -> np.ndarray:
@@ -183,10 +189,8 @@ def white_noise_povm(basis, alpha) -> Povm:
         is a stack of POVMs of the broadcast shape.
     """
     basis = require_orthonormal(basis)
-    if not in_unit_interval(alpha):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    a = require_unit_interval(alpha, "alpha")[..., None, None, None]
     d = basis.shape[-1]
-    a = np.asarray(alpha, dtype=float)[..., None, None, None]
     return Povm(a * _projectors(basis) + (1.0 - a) * np.eye(d) / d)
 
 
@@ -206,10 +210,8 @@ def amplitude_damping_povm(basis, e) -> Povm:
     basis = require_orthonormal(basis)
     if basis.shape[-1] != 3:
         raise DimensionMismatch(f"amplitude damping model needs a d=3 basis, got d={basis.shape[-1]}")
-    if not in_unit_interval(e):
-        raise ValueError(f"transition probability e must be in [0, 1], got {e}")
+    x = require_unit_interval(e, "transition probability e")[..., None, None]
     p = _projectors(basis)
-    x = np.asarray(e, dtype=float)[..., None, None]
     ground, first, second = p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :]
     return Povm(np.stack([ground + x * first + x * second, (1.0 - x) * first, (1.0 - x) * second], axis=-3))
 
@@ -219,11 +221,8 @@ def convex_combination(a: Povm, b: Povm, p) -> Povm:
 
     The stack shapes of a and b and the shape of p broadcast together.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"POVM dimensions differ: {a.dim} vs {b.dim}")
-    if not in_unit_interval(p):
-        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
-    q = np.asarray(p, dtype=float)[..., None, None, None]
+    require_same_dim(a, b)
+    q = require_unit_interval(p, "mixing probability")[..., None, None, None]
     parts = (q * a.effects, (1.0 - q) * b.effects)
     batch = np.broadcast_shapes(*(part.shape[:-3] for part in parts))
     return Povm(np.concatenate([np.broadcast_to(part, batch + part.shape[-3:]) for part in parts], axis=-3))

@@ -27,13 +27,20 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _decode_complex_matrix(obj, d: int, context: str) -> np.ndarray:
+def _decode_complex(obj, shape: tuple[int, ...], context: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs of JSON numbers.
+
+    null, strings, booleans and integers too large for a float raise ParseError.
+    """
+    arr = np.array(obj, dtype=object)
+    if arr.shape != (*shape, 2):
+        raise ParseError(f"{context}: expected shape {(*shape, 2)}, got {arr.shape}")
+    if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, arr.flat))):
+        raise ParseError(f"{context}: entries must be [re, im] pairs of numbers")
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{context}: entries must be [re, im] pairs") from exc
-    if arr.shape != (d, d, 2):
-        raise ParseError(f"{context}: expected shape ({d}, {d}, 2), got {arr.shape}")
+        arr = arr.astype(float)
+    except OverflowError:
+        raise ParseError(f"{context}: an entry is too large for a float") from None
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -50,10 +57,7 @@ def povm_from_json(obj) -> Povm:
     raw_effects = obj.get("effects")
     if not isinstance(raw_effects, list) or not raw_effects:
         raise ParseError("'effects' must be a non-empty list of matrices")
-    effects = [
-        _decode_complex_matrix(raw, d, f"effect {i}") for i, raw in enumerate(raw_effects)
-    ]
-    return make_povm(effects)
+    return make_povm([_decode_complex(raw, (d, d), f"effect {i}") for i, raw in enumerate(raw_effects)])
 
 
 def povm_to_json(povm: Povm) -> dict:
@@ -66,15 +70,9 @@ def state_from_json(obj) -> DensityMatrix:
         raise ParseError("state document must be a JSON object")
     d = json_int(obj.get("dim"), "state document 'dim'")
     if "matrix" in obj:
-        return validate_density(_decode_complex_matrix(obj["matrix"], d, "state matrix"))
+        return validate_density(_decode_complex(obj["matrix"], (d, d), "state matrix"))
     if "vector" in obj:
-        try:
-            arr = np.asarray(obj["vector"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("state vector entries must be [re, im] pairs") from exc
-        if arr.shape != (d, 2):
-            raise ParseError(f"state vector: expected shape ({d}, 2), got {arr.shape}")
-        psi = arr[:, 0] + 1j * arr[:, 1]
+        psi = _decode_complex(obj["vector"], (d,), "state vector")
         return validate_density(np.outer(psi, psi.conj()))
     raise ParseError("state document needs a 'matrix' or 'vector' field")
 

@@ -27,6 +27,7 @@ from .bounds import (
     majorization_vector,
     min_device_uncertainty,
 )
+from .errors import ConfigError
 from .linalg import TOL_SUITE, TOL_SUITE_CLOSED_FORM, TOL_SUITE_IDENTITY
 from .povm import convex_combination, projective_from_basis, white_noise_povm
 from .sampling import (
@@ -291,8 +292,11 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
+    """Run one suite by name; an unknown name, trials < 1 or a negative seed raise ConfigError."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+        raise ConfigError(f"need at least 1 trial, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return SUITES[name](trials=trials, seed=seed)

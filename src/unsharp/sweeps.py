@@ -15,13 +15,17 @@ from functools import partial
 import numpy as np
 
 from . import bounds
-from .linalg import TOL_ANGLE, _frozen
+from .errors import ConfigError
+from .linalg import TOL_ANGLE, _frozen, require_unit_interval
 from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
 
 CROSSOVER_TOL = 1e-4
+# Largest grid: a damping point costs about 3 KB of peak RSS (POVM stacks and
+# temporaries), so 10^5 points stay near 300 MB.
+MAX_STEPS = 100_000
 
 # Fixed measurement bases: sigma_z for the angle sweep, the d=3 Fourier pair
 # for the damping sweep.
@@ -46,14 +50,15 @@ class SweepConfig:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 grid points, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"at most {MAX_STEPS} grid points, got {self.steps}")
         if not self.start < self.stop:
             raise ValueError(f"empty grid: start={self.start}, stop={self.stop}")
         if self.kind == "theta":
             if not (0.0 <= self.start and self.stop <= np.pi + TOL_ANGLE):
                 raise ValueError("theta grid must lie within [0, pi]")
-            for name, value in (("eta", self.eta), ("zeta", self.zeta)):
-                if value is None or not 0.0 <= value <= 1.0:
-                    raise ValueError(f"{name} must be in [0, 1], got {value}")
+            require_unit_interval(self.eta, "eta")
+            require_unit_interval(self.zeta, "zeta")
         else:
             if not (0.0 <= self.start and self.stop <= 1.0):
                 raise ValueError("damping grid must lie within [0, 1]")
@@ -102,8 +107,12 @@ class SweepResult:
         return lines
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(self.csv_lines()) + "\n")
+        """Write csv_lines() to path; ConfigError if the file cannot be written."""
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(self.csv_lines()) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def spin_basis(theta) -> np.ndarray:
@@ -116,21 +125,22 @@ def spin_basis(theta) -> np.ndarray:
     return basis.transpose(*range(2, basis.ndim), 0, 1)
 
 
-def find_crossings(xs: np.ndarray, values: np.ndarray, diff, tol: float = CROSSOVER_TOL) -> tuple[float, ...]:
+def find_crossings(xs: np.ndarray, values: np.ndarray, diff) -> tuple[float, ...]:
     """Strict sign changes of a sampled difference, refined by bisection.
 
     ``values`` are the grid samples of ``diff``. Every pair of adjacent grid
     points of opposite sign is a bracket, and all brackets are bisected
     together: ``diff`` takes the (k,) midpoints of the k brackets still wider
-    than ``tol`` and returns k differences. A midpoint where the difference is
-    exactly zero ends its bracket there. Grid points where the difference is
-    exactly zero (degenerate equalities at grid endpoints) are not crossings.
+    than ``CROSSOVER_TOL`` and returns k differences. A midpoint where the
+    difference is exactly zero ends its bracket there. Grid points where the
+    difference is exactly zero (degenerate equalities at grid endpoints) are
+    not crossings.
     Results are rounded to 4 decimals, in grid order, without duplicates.
     """
     xs, values = np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
     i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     lo, hi, lo_negative = xs[i], xs[i + 1], values[i] < 0.0
-    active = hi - lo > tol
+    active = hi - lo > CROSSOVER_TOL
     while active.any():
         j = np.flatnonzero(active)
         mid = (lo[j] + hi[j]) / 2.0
@@ -139,7 +149,7 @@ def find_crossings(xs: np.ndarray, values: np.ndarray, diff, tol: float = CROSSO
         move_lo = (f_mid < 0.0) == lo_negative[j]
         lo[j] = np.where(zero | move_lo, mid, lo[j])
         hi[j] = np.where(zero | ~move_lo, mid, hi[j])
-        active[j] = ~zero & (hi[j] - lo[j] > tol)
+        active[j] = ~zero & (hi[j] - lo[j] > CROSSOVER_TOL)
     return tuple(dict.fromkeys(round(float(x), 4) for x in (lo + hi) / 2.0))
 
 

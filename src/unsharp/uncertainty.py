@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PROB_SUM, TOL_PSD, first_index, float_or_array, in_unit_interval, prob_tol
+from .linalg import TOL_PROB_SUM, TOL_PSD, first_index, float_or_array, prob_tol, require_unit_interval
 from .povm import Povm
 
 
@@ -82,9 +82,7 @@ def shannon_entropy(probs):
 
 def binary_entropy(p):
     """H_bin(p) = -p log2 p - (1-p) log2 (1-p), elementwise over an array p."""
-    if not in_unit_interval(p):
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-    q = np.asarray(p, dtype=float)
+    q = require_unit_interval(p, "probability")
     return float_or_array(entropy_term(q) + entropy_term(1.0 - q))
 
 
@@ -144,10 +142,8 @@ def f_white_noise(p: float, alpha: float, d: int) -> float:
     p in {0, 1}, reduces to -p log2 p at alpha = 1 and to 0 at alpha = 0,
     and is nondecreasing in alpha.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    require_unit_interval(p, "p")
+    require_unit_interval(alpha, "alpha")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     return float(_white_noise_kernel(p, alpha, d))

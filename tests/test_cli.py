@@ -11,6 +11,7 @@ from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, wh
 from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
 from unsharp.suites import SUITES
+from unsharp.sweeps import MAX_STEPS
 
 
 @pytest.fixture
@@ -226,6 +227,47 @@ class TestInputBoundary:
         path = files["tmp"] / "dim.json"
         path.write_text(json.dumps({**povm_to_json(projective_from_basis(np.eye(2))), "dim": 2.0}))
         assert main(["validate", str(path)]) == 0
+
+    # A 400-digit integer parses as a Python int that no float can hold, and
+    # null must not be read as NaN; each site is one decoded array of the schema.
+    @pytest.mark.parametrize("entry", [10**400, None], ids=["huge-int", "null"])
+    @pytest.mark.parametrize("site", ["effect", "matrix", "vector"])
+    def test_entry_that_is_not_a_float(self, files, capsys, site, entry):
+        pair, zero = [[entry, 0], [0, 0]], [[0, 0], [0, 0]]
+        doc = {
+            "effect": {"dim": 2, "effects": [[pair, zero], [zero, [[0, 0], [1, 0]]]]},
+            "matrix": {"dim": 2, "matrix": [pair, zero]},
+            "vector": {"dim": 2, "vector": pair},
+        }[site]
+        path = files["tmp"] / "entry.json"
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path), "--json"] if site == "effect" else ["analyze", files["pvm_x"], "--state", str(path)]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert payload["error"] == "ParseError"
+        assert ("effect 0: " if site == "effect" else f"state {site}: ") in payload["message"]
+
+    def test_integer_beyond_the_parser_digit_limit(self, files, run):
+        path = files["tmp"] / "digits.json"
+        path.write_text('{"dim": 2, "effects": [[[[1' + "0" * 5000 + ", 0]]]]}")
+        run(["validate", str(path)], kind="ParseError")
+
+    def test_huge_integer_in_sweep_config(self, files, run):
+        path = files["tmp"] / "c.json"
+        path.write_text(json.dumps({"eta": 10**400, "zeta": 1.0, "out": str(files["tmp"] / "t.csv")}))
+        assert "eta must be a number" in run(["sweep-theta", "--config", str(path)])
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_steps_above_cap(self, files, run, route):
+        out = str(files["tmp"] / "t.csv")
+        path = files["tmp"] / "c.json"
+        path.write_text(json.dumps({"eta": 1.0, "zeta": 1.0, "steps": 10**12}))
+        flags = ["--steps", str(10**12)] if route == "flag" else []
+        assert f"at most {MAX_STEPS} grid points" in run(["sweep-theta", "--config", str(path), *flags, "--out", out])
+        assert not (files["tmp"] / "t.csv").exists()
+
+    def test_negative_seed(self, run):
+        assert "seed" in run(["verify", "--suite", "chain", "--trials", "2", "--seed", "-1"])
 
 
 class TestSweepTheta:

@@ -48,6 +48,13 @@ class TestPovmSchema:
         with pytest.raises(ParseError):
             povm_from_json({"dim": 2, "effects": [[[1.0, 0.0], [0.0, 1.0]]]})
 
+    @pytest.mark.parametrize("entry", [None, "0", True, 10**400], ids=["null", "string", "bool", "huge"])
+    def test_entry_that_is_not_a_number(self, entry):
+        doc = povm_to_json(projective_from_basis(np.eye(2)))
+        doc["effects"][1][0][0][0] = entry
+        with pytest.raises(ParseError, match="^effect 1: "):
+            povm_from_json(doc)
+
     def test_file_round_trip(self, tmp_path):
         povm = projective_from_basis(np.eye(2))
         path = tmp_path / "povm.json"

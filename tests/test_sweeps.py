@@ -8,6 +8,7 @@ from unsharp.uncertainty import f_white_noise, shannon_entropy
 from unsharp.sweeps import (
     CROSSOVER_TOL,
     DAMPING_COLUMNS,
+    MAX_STEPS,
     THETA_COLUMNS,
     SweepConfig,
     damping_sweep,
@@ -41,6 +42,13 @@ class TestSweepConfig:
             SweepConfig(kind="damping", start=0.0, stop=1.5, steps=11)
         with pytest.raises(ValueError):
             SweepConfig(kind="theta", start=-0.5, stop=1.0, steps=11, eta=1.0, zeta=1.0)
+
+    def test_steps_cap(self):
+        # The 181/101 defaults and a 20 001-point grid stay accepted.
+        for steps in (101, 181, 20_001, MAX_STEPS):
+            assert damping_config(steps=steps).steps == steps
+        with pytest.raises(ValueError, match=f"at most {MAX_STEPS} grid points"):
+            damping_config(steps=MAX_STEPS + 1)
 
     def test_theta_requires_noise_params(self):
         with pytest.raises(ValueError):
