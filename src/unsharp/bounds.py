@@ -89,8 +89,16 @@ def device_uncertainty_white_noise(alpha, d: int):
 
 
 def _sandwiched_max(core: Povm, wrap: Povm) -> np.ndarray:
-    """max_i || sum_j W_j C_i W_j || over the effects C_i of core, W_j of wrap."""
-    s = np.einsum("...nij,...mjk,...nkl->...mil", wrap.effects, core.effects, wrap.effects)
+    """max_i || sum_j W_j C_i W_j || over the effects C_i of core, W_j of wrap.
+
+    The map C -> sum_j W_j C W_j is linear: it is formed once per stack item
+    as a (d^2, d^2) matrix and applied to every C_i in one product.
+    """
+    d = core.dim
+    superop = np.einsum("...nij,...nkl->...jkil", wrap.effects, wrap.effects)
+    superop = superop.reshape(superop.shape[:-4] + (d * d, d * d))
+    s = core.effects.reshape(core.effects.shape[:-2] + (d * d,)) @ superop
+    s = s.reshape(s.shape[:-1] + (d, d))
     s = (s + s.conj().swapaxes(-1, -2)) / 2.0
     return abs(np.linalg.eigvalsh(s)).max(axis=(-2, -1))
 

@@ -92,10 +92,13 @@ def cmd_bounds(args) -> int:
 
 
 def _number(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    """A JSON number as a float; strings, booleans, null and ints too large for a float raise ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _path(value, key: str) -> str:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, require_finite, validate_density
 from .povm import Povm, make_povm
 
 
@@ -41,7 +41,10 @@ def _decode_complex(obj, shape: tuple[int, ...], context: str) -> np.ndarray:
         arr = arr.astype(float)
     except OverflowError:
         raise ParseError(f"{context}: an entry is too large for a float") from None
-    return arr[..., 0] + 1j * arr[..., 1]
+    # Parts assigned, not arr[..., 1] * 1j: that product warns on an infinite entry.
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
 
 
 def _encode_complex_matrix(m: np.ndarray) -> list:
@@ -72,7 +75,8 @@ def state_from_json(obj) -> DensityMatrix:
     if "matrix" in obj:
         return validate_density(_decode_complex(obj["matrix"], (d, d), "state matrix"))
     if "vector" in obj:
-        psi = _decode_complex(obj["vector"], (d,), "state vector")
+        # Checked before the outer product, which warns on an infinite entry.
+        psi = require_finite(_decode_complex(obj["vector"], (d,), "state vector"), "density matrix", core_ndim=1)
         return validate_density(np.outer(psi, psi.conj()))
     raise ParseError("state document needs a 'matrix' or 'vector' field")
 

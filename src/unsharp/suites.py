@@ -53,6 +53,11 @@ MAX_MESSAGES = 20
 # scalar parameters) do. Larger blocks amortize the per-call cost; at 64 the
 # temporaries of one call stay under about 100 kB (d = 4, n = 5).
 BLOCK = 64
+# Most trials per run. The per-trial keys drawn up front cost at most about
+# 75 B of peak RSS per trial (convexity: 6.8 MB more at 10^5 trials than at
+# 10^4), so the cap extrapolates to about 75 MB; chain, the slowest suite,
+# takes about 2 minutes at the cap on one core of a 2-vCPU Xeon VM.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass
@@ -292,11 +297,13 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
-    """Run one suite by name; an unknown name, trials < 1 or a negative seed raise ConfigError."""
+    """Run one suite by name; an unknown name, trials outside [1, MAX_TRIALS] or a negative seed raise ConfigError."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if trials < 1:
         raise ConfigError(f"need at least 1 trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"at most {MAX_TRIALS} trials, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return SUITES[name](trials=trials, seed=seed)

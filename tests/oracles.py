@@ -19,6 +19,22 @@ def mu_oracle(basis_a, basis_b) -> float:
     return float(-np.log2(np.max(np.abs(overlaps) ** 2)))
 
 
+def coles_oracle(a, b):
+    """-log2 C of two POVMs (or broadcasting stacks) by the three-operand sandwich.
+
+    C = min(max_i || sum_j B_j A_i B_j ||, max_j || sum_i A_i B_j A_i ||), each
+    sandwich summed directly by one einsum over the effects of both POVMs.
+    """
+
+    def sandwiched_max(core, wrap):
+        s = np.einsum("...nij,...mjk,...nkl->...mil", wrap, core, wrap)
+        s = (s + s.conj().swapaxes(-1, -2)) / 2.0
+        return abs(np.linalg.eigvalsh(s)).max(axis=(-2, -1))
+
+    c = np.minimum(sandwiched_max(a.effects, b.effects), sandwiched_max(b.effects, a.effects))
+    return -np.log2(np.minimum(c, 1.0))
+
+
 def berta_reduced_bound(basis_a, basis_b, rho) -> float:
     """Largest-overlap bound plus the von Neumann entropy of the state.
 

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from unsharp import bounds, suites
+from unsharp import bounds, suites, sweeps
 from unsharp.bounds import (
     MAX_MAJORIZATION_DIM,
     ad_coles_closed_form,
@@ -31,6 +31,7 @@ from unsharp.povm import (
 )
 from unsharp.sampling import random_basis, random_mixed_state, random_pure_state, random_povm, sampled_min
 from unsharp.suites import suite_coles, suite_majorization, suite_validity
+from unsharp.sweeps import spin_basis
 from unsharp.uncertainty import (
     binary_entropy,
     device_uncertainty,
@@ -39,7 +40,7 @@ from unsharp.uncertainty import (
     von_neumann_entropy,
 )
 
-from oracles import berta_reduced_bound, mu_oracle
+from oracles import berta_reduced_bound, coles_oracle, mu_oracle
 
 PLUS_MINUS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -163,6 +164,37 @@ class TestColesBound:
     def test_validity_on_random_povms(self):
         result = suite_coles(trials=500, seed=23)
         assert result.passed, result.messages
+
+
+class TestColesKernel:
+    """The superoperator product agrees with the direct sandwich sum."""
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_unstacked(self, d):
+        rng = np.random.default_rng(100 + d)
+        a, b = random_povm(d, d, rng), random_povm(d, d + 2, rng)
+        value = coles_bound(a, b)
+        assert type(value) is float
+        assert abs(value - coles_oracle(a, b)) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_stacked(self, d):
+        rng = np.random.default_rng(200 + d)
+        a, b = random_povm(d, 3, rng, size=(2, 3)), random_povm(d, 2, rng, size=(2, 3))
+        np.testing.assert_allclose(coles_bound(a, b), coles_oracle(a, b), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_one_side_broadcast(self, d):
+        rng = np.random.default_rng(300 + d)
+        a, b = random_povm(d, 4, rng, size=5), random_povm(d, 3, rng)
+        np.testing.assert_allclose(coles_bound(a, b), coles_oracle(a, b), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(coles_bound(b, a), coles_oracle(b, a), rtol=0, atol=1e-14)
+
+    def test_theta_sweep_pair(self):
+        # A stack of noisy spin POVMs against the fixed sigma_z POVM of the angle sweep.
+        stacked = white_noise_povm(spin_basis(np.linspace(0.0, np.pi, 37)), 0.8)
+        fixed = white_noise_povm(sweeps._Z_BASIS, 0.9)
+        np.testing.assert_allclose(coles_bound(stacked, fixed), coles_oracle(stacked, fixed), rtol=0, atol=1e-14)
 
 
 class TestMuBound:

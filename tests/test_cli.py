@@ -10,7 +10,8 @@ from unsharp.linalg import DensityMatrix
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
-from unsharp.suites import SUITES
+from unsharp import suites
+from unsharp.suites import MAX_TRIALS, SUITES
 from unsharp.sweeps import MAX_STEPS
 
 
@@ -186,8 +187,28 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"steps": None}, {"eta": [1]}, {"steps": 2.7}, {"start": "zero"}, {"out": 5}],
-        ids=["steps-null", "eta-list", "steps-fraction", "start-text", "out-number"],
+        [
+            {"steps": None},
+            {"eta": [1]},
+            {"steps": 2.7},
+            {"start": "zero"},
+            {"out": 5},
+            {"eta": "0.5"},
+            {"zeta": True},
+            {"start": False},
+            {"start": None},
+        ],
+        ids=[
+            "steps-null",
+            "eta-list",
+            "steps-fraction",
+            "start-text",
+            "out-number",
+            "eta-numeric-text",
+            "zeta-true",
+            "start-false",
+            "start-null",
+        ],
     )
     def test_bad_config_value(self, files, run, setting):
         config = {"eta": 1.0, "zeta": 1.0, "out": str(files["tmp"] / "t.csv"), **setting}
@@ -265,6 +286,17 @@ class TestInputBoundary:
         flags = ["--steps", str(10**12)] if route == "flag" else []
         assert f"at most {MAX_STEPS} grid points" in run(["sweep-theta", "--config", str(path), *flags, "--out", out])
         assert not (files["tmp"] / "t.csv").exists()
+
+    def test_trials_above_cap(self, run, monkeypatch):
+        # The cap is checked before the suite runs: a stand-in suite records
+        # the calls, so no trial is drawn at these sizes.
+        calls = []
+        monkeypatch.setitem(suites.SUITES, "convexity", lambda trials, seed: calls.append(trials))
+        for trials in (MAX_TRIALS + 1, 10**13):
+            assert f"at most {MAX_TRIALS} trials" in run(["verify", "--suite", "convexity", "--trials", str(trials)])
+        assert calls == []
+        suites.run_suite("convexity", MAX_TRIALS, 0)
+        assert calls == [MAX_TRIALS]
 
     def test_negative_seed(self, run):
         assert "seed" in run(["verify", "--suite", "chain", "--trials", "2", "--seed", "-1"])

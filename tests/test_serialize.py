@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from unsharp.errors import CompletenessViolated, ParseError, TraceNotOne
+from unsharp.errors import CompletenessViolated, NotFinite, ParseError, TraceNotOne
 from unsharp.linalg import DensityMatrix
 from unsharp.povm import mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.serialize import (
@@ -93,3 +94,27 @@ class TestStateSchema:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json(rho)))
         np.testing.assert_allclose(load_state(path).matrix, rho.matrix)
+
+
+class TestInfiniteEntries:
+    """An infinite real or imaginary part is a NotFinite error, without a warning."""
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["real", "imag"])
+    @pytest.mark.parametrize("site", ["effect", "matrix", "vector"])
+    def test_not_finite_without_warning(self, site, part):
+        entry = [0.0, 0.0]
+        entry[part] = float("inf")
+        pair, zero = [entry, [0, 0]], [[0, 0], [0, 0]]
+        text = json.dumps(
+            {
+                "effect": {"dim": 2, "effects": [[pair, zero], [zero, [[0, 0], [1, 0]]]]},
+                "matrix": {"dim": 2, "matrix": [pair, zero]},
+                "vector": {"dim": 2, "vector": pair},
+            }[site]
+        )
+        assert "Infinity" in text
+        loader = povm_from_json if site == "effect" else state_from_json
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match="has a NaN or infinite entry"):
+                loader(json.loads(text))

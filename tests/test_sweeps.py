@@ -215,34 +215,42 @@ def reference_sweep(config, row, columns, differences):
 THETA_DIFFERENCES = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN-B1": ("D_WN", "B1")}
 
 
+def one_difference(xs, f, calls=None):
+    """find_crossings for the single difference f(x) - 0; each bisection
+    call's points are appended to calls."""
+
+    def columns_of(x):
+        if calls is not None:
+            calls.append(np.array(x))
+        return {"f": f(x), "zero": np.zeros(np.shape(x))}
+
+    table = {"f": f(xs), "zero": np.zeros(xs.shape)}
+    return find_crossings(xs, table, {"f": ("f", "zero")}, columns_of)["f"]
+
+
 class TestFindCrossings:
     def test_single_linear_crossing(self):
         xs = np.linspace(0.0, 1.0, 11)
-        values = xs - 0.37
-        crossings = find_crossings(xs, values, lambda x: x - 0.37)
+        crossings = one_difference(xs, lambda x: x - 0.37)
         assert len(crossings) == 1
         assert abs(crossings[0] - 0.37) < 1e-3
 
     def test_zero_endpoint_is_not_a_crossing(self):
         xs = np.linspace(0.0, 1.0, 11)
-        values = np.concatenate([[0.0], np.ones(10)])
-        assert find_crossings(xs, values, lambda x: 1.0) == ()
+        calls = []
+        assert one_difference(xs, lambda x: np.where(x == 0.0, 0.0, 1.0), calls) == ()
+        assert calls == []
 
     @pytest.mark.parametrize("steps", [7, 10, 31, 100])
     def test_several_roots_match_scalar_bisection(self, steps):
         xs = np.linspace(0.0, np.pi, steps)
         calls = []
-
-        def diff(x):
-            calls.append(np.shape(x))
-            return np.sin(3.0 * x)
-
-        found = find_crossings(xs, np.sin(3.0 * xs), diff)
+        found = one_difference(xs, lambda x: np.sin(3.0 * x), calls)
         assert found == reference_crossings(xs, np.sin(3.0 * xs), lambda x: np.sin(3.0 * x))
         assert len(found) == 2
         np.testing.assert_allclose(found, [np.pi / 3, 2 * np.pi / 3], atol=1e-4)
         # Every bracket is bisected in each call: one call per halving, not per bracket.
-        assert calls[0] == (2,)
+        assert calls[0].shape == (2,)
         assert len(calls) == int(np.ceil(np.log2((xs[1] - xs[0]) / CROSSOVER_TOL)))
 
     def test_exact_zero_midpoint_ends_its_bracket(self):
@@ -252,17 +260,33 @@ class TestFindCrossings:
             return (x - 0.5) * (x - 0.8125)
 
         calls = []
-
-        def diff(x):
-            calls.append(np.array(x))
-            return f(x)
-
-        found = find_crossings(xs, f(xs), diff)
+        found = one_difference(xs, f, calls)
         assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8125)
         # The first bracket ends at its first midpoint; the second at its second.
         np.testing.assert_array_equal(calls[0], [0.5, 0.875])
         np.testing.assert_array_equal(calls[1], [0.8125])
         assert len(calls) == 2
+
+    def test_differences_share_each_call(self):
+        xs = np.linspace(0.0, np.pi, 31)
+        functions = {"s3": lambda x: np.sin(3.0 * x), "c2": lambda x: np.cos(2.0 * x), "one": np.ones_like}
+        calls = []
+
+        def columns_of(x):
+            calls.append(np.array(x))
+            return {"zero": np.zeros(np.shape(x)), **{name: f(x) for name, f in functions.items()}}
+
+        table = {"zero": np.zeros(xs.shape), **{name: f(xs) for name, f in functions.items()}}
+        differences = {"s3": ("s3", "zero"), "flat": ("one", "zero"), "c2": ("zero", "c2")}
+        found = find_crossings(xs, table, differences, columns_of)
+        assert list(found) == list(differences)
+        assert found["s3"] == reference_crossings(xs, table["s3"], functions["s3"])
+        assert found["c2"] == reference_crossings(xs, -table["c2"], lambda x: -functions["c2"](x))
+        assert found["flat"] == ()
+        assert len(found["s3"]) == len(found["c2"]) == 2
+        # One call per halving for all four brackets of both crossing differences.
+        assert calls[0].shape == (4,)
+        assert len(calls) == int(np.ceil(np.log2((xs[1] - xs[0]) / CROSSOVER_TOL)))
 
 
 class TestAgainstRowReference:
@@ -319,8 +343,9 @@ def _count_calls(monkeypatch, module, name, counts, shapes=None):
 
 
 class TestSweepWork:
-    """The grid is one call of the sweep's column function, and each
-    bisection step is one stacked call of it for every open bracket."""
+    """The grid is one call of the sweep's column function per block of
+    grid points, and each bisection step is one stacked call of it for every
+    open bracket of every difference."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -334,16 +359,15 @@ class TestSweepWork:
         searches = []
         real_find = sweeps.find_crossings
 
-        def recording_find(xs, values, diff, *args):
+        def recording_find(xs, table, differences, columns_of):
             before = dict(counts)
-            steps = 0
+            steps = []
 
             def counted(x):
-                nonlocal steps
-                steps += 1
-                return diff(x)
+                steps.append(np.shape(x))
+                return columns_of(x)
 
-            found = real_find(xs, values, counted, *args)
+            found = real_find(xs, table, differences, counted)
             searches.append((steps, {k: counts[k] - before[k] for k in counts}, found))
             return found
 
@@ -352,28 +376,42 @@ class TestSweepWork:
 
     def test_theta_sweep(self, work):
         counts, shapes, searches = work
-        steps = 61
+        steps = 181
         result = theta_sweep(theta_config(0.8, 0.9, steps=steps))
-        assert [found for _, _, found in searches] == list(result.crossovers.values())
-        assert all(found for _, _, found in searches)
-        # One grid call over all 61 angles, no call per grid row.
+        ((bisection, delta, found),) = searches
+        assert found == result.crossovers
+        assert all(len(points) == 2 for points in found.values())
+        # One grid call over all 181 angles, no call per grid row.
         assert shapes[0] == (steps,)
-        total_steps = sum(n for n, _, _ in searches)
-        assert counts["_theta_columns"] == 1 + total_steps
-        assert counts["_majorization"] == counts["coles_bound"] == 1 + total_steps
-        (b2_b1_steps, b2_b1, _), _, _ = searches
-        assert b2_b1["_majorization"] == b2_b1_steps
-        # Bisection halves every bracket per call: the step count is the
-        # number of halvings of one grid interval, whatever the bracket count.
+        # Bisection halves every bracket of every difference per call: the step
+        # count is the number of halvings of one grid interval, whatever the
+        # number of brackets or differences.
         halvings = int(np.ceil(np.log2((np.pi / (steps - 1)) / CROSSOVER_TOL)))
-        assert all(n == halvings for n, _, _ in searches)
+        assert halvings == 8
+        assert bisection[0] == (6,)
+        assert len(bisection) == halvings
+        assert counts["_theta_columns"] == 1 + halvings == 9
+        assert counts["_majorization"] == counts["coles_bound"] == 1 + halvings
+        assert delta["_majorization"] == delta["coles_bound"] == halvings
 
     def test_damping_sweep(self, work):
         counts, shapes, searches = work
         steps = 41
         result = damping_sweep(damping_config(steps=steps))
-        ((bisection_steps, delta, found),) = searches
-        assert found == result.crossovers["D_AD-logC"] != ()
+        ((bisection, delta, found),) = searches
+        assert found == result.crossovers
+        assert found["D_AD-logC"] != ()
         assert shapes[0] == (steps,)
-        assert counts["_damping_columns"] == 1 + bisection_steps
-        assert delta["_damping_columns"] == delta["coles_bound"] == bisection_steps
+        assert counts["_damping_columns"] == 1 + len(bisection)
+        assert delta["_damping_columns"] == delta["coles_bound"] == len(bisection)
+
+    def test_grid_in_blocks(self, work, monkeypatch):
+        _, shapes, searches = work
+        whole = theta_sweep(theta_config(0.3, 0.7, steps=61))
+        shapes.clear()
+        monkeypatch.setattr(sweeps, "_GRID_BLOCK", 7)
+        blocked = theta_sweep(theta_config(0.3, 0.7, steps=61))
+        # 61 points in blocks of 7, then the bisection calls.
+        assert shapes == [(7,)] * 8 + [(5,)] + searches[-1][0]
+        assert blocked.rows == whole.rows
+        assert blocked.crossovers == whole.crossovers
