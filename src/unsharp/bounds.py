@@ -14,8 +14,10 @@ input and an array otherwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -34,10 +36,12 @@ from .uncertainty import (
 
 # The majorization vector takes the largest singular value of every
 # submatrix U[R, S] of the d x d overlap matrix with |R| + |S| <= d, using
-# ||P_R + P_S|| = 1 + sigma_max(U[R, S]) (principal angles): O(4^d) singular
-# value problems of size at most d/2, batched per (|R|, |S|). That is 25-45 ms
-# at d = 7 on one core of a 2-vCPU Xeon VM, growing about 4-7x per
-# dimension; desk scale ends well before this guard.
+# ||P_R + P_S|| = 1 + sigma_max(U[R, S]) (principal angles): O(4^d) top
+# eigenvalues of Gram matrices of size at most d/2, batched per (|R|, |S|),
+# closed-form up to size 2 and from eigvalsh above. On one pinned core of a
+# 2-vCPU Xeon VM that is about 6-7 ms at d = 7 and 30-40 ms at d = 8, growing
+# about 5x per dimension; d = 9 (about 200 ms) would cost more than d = 8 did
+# by SVD (about 150 ms), and desk scale ends well before this guard.
 MAX_MAJORIZATION_DIM = 8
 
 
@@ -162,11 +166,40 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     smallest principal angle between the two spans (Bjorck & Golub, Math.
     Comp. 27, 1973). An empty subset gives norm 1, which a nonempty split
     always matches, and when |R| + |S| > d the spans intersect, so w_d = 2
-    exactly. The cost is one batched SVD per size pair (|R|, |S|) with
-    |R| + |S| <= d: O(4^d) singular-value problems of size at most d/2.
-    Stacks of bases (..., d, d) broadcast and enlarge each batched SVD.
+    exactly. sigma_max^2 is the top eigenvalue of the Gram matrix of the
+    block's shorter side: a squared Euclidean norm for one row or column, a
+    closed form for two, eigvalsh for three or more. When |R| + |S| = d,
+    U[R, S] and U[R^c, S^c] share their singular values (CS decomposition;
+    Paige & Wei, Linear Algebra Appl. 208/209, 1994), so only one block of
+    each such pair is evaluated. The cost is O(4^d) eigenvalue problems of
+    size at most d/2, batched per size pair (|R|, |S|); stacks of bases
+    (..., d, d) broadcast and enlarge each batch.
     """
     return _majorization(_overlaps(basis_a, basis_b))
+
+
+def _top_gram_eigenvalue(gram: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of Hermitian PSD (..., m, m, n) Gram matrices (n along the last axis)."""
+    m = gram.shape[-2]
+    if m == 1:
+        return gram[..., 0, 0, :].real
+    if m == 2:
+        a, c, b = gram[..., 0, 0, :].real, gram[..., 1, 1, :].real, gram[..., 0, 1, :]
+        return (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + (b.real**2 + b.imag**2))
+    return np.linalg.eigvalsh(np.moveaxis(gram, -1, -3))[..., -1]
+
+
+@functools.cache
+def _subset_tables(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Index subsets of range(d) by size 0..d-1, and their indicator rows.
+
+    ``subsets[l]`` lists the size-l subsets in lexicographic order, so those
+    holding index 0 come first; ``indicators[l][n, j]`` is 1 when j is in the
+    n-th of them. Both are constant per d and read-only.
+    """
+    subsets = tuple(_frozen(np.array(list(combinations(range(d), size)), dtype=np.intp)) for size in range(d))
+    indicators = tuple(_frozen(np.eye(d)[cols].sum(axis=-2)) for cols in subsets)
+    return subsets, indicators
 
 
 def _majorization(u: np.ndarray) -> MajorizationVector:
@@ -175,21 +208,31 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
     if d > MAX_MAJORIZATION_DIM:
         raise ValueError(f"subset enumeration is limited to d <= {MAX_MAJORIZATION_DIM}, got d={d}")
 
-    subsets = [np.array(list(combinations(range(d), size)), dtype=np.intp) for size in range(d)]
+    subsets, indicators = _subset_tables(d)
     top = np.zeros(u.shape[:-1])
-    for r_size in range(1, d):
-        rows = u[..., subsets[r_size], :]
-        for s_size in range(1, d + 1 - r_size):
-            # (..., R, |R|, S, |S|) -> (..., R, S, |R|, |S|): every U[R, S] of these sizes.
-            block = rows[..., subsets[s_size]].swapaxes(-3, -2)
-            if min(r_size, s_size) == 1:
-                # A single row or column: sigma_max is its Euclidean norm. This
-                # keeps d <= 3 off the SVD path, whose first call adds ~0.7 MB RSS.
-                sigma = np.sqrt(np.sum(np.abs(block) ** 2, axis=(-2, -1)))
+    for m in range(1, d // 2 + 1):
+        # Blocks with m rows and l >= m columns come from u, those with l > m
+        # rows and m columns from u^T. With m + l = d only the first kind is
+        # needed (CS pairing), and at m = l = d/2 > 1 only the row subsets
+        # holding index 0, since exactly one of R and R^c holds it. (At d = 2
+        # both rows stay, which keeps the qubit sweep values bit-identical.)
+        short = subsets[m][: comb(d - 1, m - 1)] if 2 * m == d > 2 else subsets[m]
+        for v, longs in ((u, range(m, d + 1 - m)), (u.swapaxes(-1, -2), range(m + 1, d - m))):
+            if not longs:
+                continue
+            rows = v[..., short, :]
+            # Per column j, the rank-1 Gram term of the m chosen rows: (..., R, m, m, d).
+            if m == 1:
+                per_column = np.abs(rows[..., None, :]) ** 2
             else:
-                sigma = np.linalg.svd(block, compute_uv=False)[..., 0]
-            k = r_size + s_size - 1
-            top[..., k - 1] = np.maximum(top[..., k - 1], sigma.max(axis=(-2, -1)))
+                per_column = rows[..., :, None, :] * rows.conj()[..., None, :, :]
+            flat = per_column.reshape(-1, d)  # one matrix product per class, not one per stack item
+            for l in longs:
+                # The Gram matrix of every U[R, S] with |S| = l: (..., R, m, m, S).
+                gram = (flat @ indicators[l].T).reshape(per_column.shape[:-1] + (-1,))
+                sigma = np.sqrt(_top_gram_eigenvalue(gram).max(axis=(-2, -1)))
+                k = m + l - 1
+                top[..., k - 1] = np.maximum(top[..., k - 1], sigma)
     top[..., d - 1] = 1.0
     w = 1.0 + top
 

@@ -10,6 +10,7 @@ CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -177,7 +178,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.passed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared.
+
+    parse_args returns a fresh Namespace on every call and leaves the parser
+    unchanged, so sharing it keeps nothing from one command to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="unsharp",
         description="Measurement unsharpness and entropic uncertainty bounds.",

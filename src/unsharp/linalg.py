@@ -122,7 +122,10 @@ def require_hermitian(m) -> np.ndarray:
     the first matrix, in C order, whose defect exceeds it.
     """
     m = _as_square_matrix(m)
-    defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # Entries near the float maximum may overflow the difference to inf,
+    # which fails the check as it should.
+    with np.errstate(over="ignore"):
+        defect = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = defect > TOL_HERMITIAN
     if bad.any():
         index = first_index(bad)
@@ -203,14 +206,25 @@ def validate_density(m) -> DensityMatrix:
     if bad.any():
         index = first_index(bad)
         raise NotPositive(f"{item_prefix('matrix', index)}lowest eigenvalue is {lowest[index]:.3e} < -{TOL_PSD:.1e}")
-    trace = np.trace(m, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):
+        trace = np.trace(m, axis1=-2, axis2=-1)
+    require_unit_trace(trace)
+    return DensityMatrix(m)
+
+
+def require_unit_trace(trace) -> None:
+    """Raise TraceNotOne unless every trace lies within TOL_TRACE of 1.
+
+    trace is a scalar or an array over a stack of states; for a stack the
+    error names the first bad one. A trace that overflowed to inf fails.
+    """
+    trace = np.asarray(trace)
     bad = abs(trace - 1.0) > TOL_TRACE
     if bad.any():
         index = first_index(bad)
         raise TraceNotOne(
             f"{item_prefix('matrix', index)}trace is {trace[index].real:.12f}, expected 1 within {TOL_TRACE:.1e}"
         )
-    return DensityMatrix(m)
 
 
 def pure_state_density(psi) -> DensityMatrix:

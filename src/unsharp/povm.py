@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EigenvalueAboveOne,
     NotPositive,
+    ValidationError,
 )
 from .linalg import (
     TOL_BLOCH,
@@ -59,11 +60,14 @@ class Povm:
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        effects = np.asarray(self.effects, dtype=complex)
+        try:
+            effects = np.asarray(self.effects, dtype=complex)
+        except (OverflowError, TypeError, ValueError) as exc:  # ragged, non-numeric or too large for a float
+            raise ValidationError(f"effects must form a numeric (..., n, d, d) array: {exc}") from None
         if effects.ndim < 3 or effects.shape[-1] != effects.shape[-2]:
-            raise ValueError(f"expected an (..., n, d, d) effect array, got shape {effects.shape}")
+            raise ValidationError(f"expected an (..., n, d, d) effect array, got shape {effects.shape}")
         if effects.shape[-3] == 0:
-            raise ValueError("a POVM needs at least one effect")
+            raise ValidationError("a POVM needs at least one effect")
         effects = require_hermitian(require_finite(effects, "POVM effect array", core_ndim=3))
         eigenvalues, eigenvectors = np.linalg.eigh(effects)
         low, high = eigenvalues[..., 0], eigenvalues[..., -1]
@@ -114,7 +118,7 @@ def _completeness_residual(effects: np.ndarray) -> np.ndarray:
 
 def make_povm(effects) -> Povm:
     """Validate a sequence of effect matrices and decompose them."""
-    return Povm(np.stack([np.asarray(e, dtype=complex) for e in effects]))
+    return Povm(list(effects))
 
 
 def _projectors(basis: np.ndarray) -> np.ndarray:

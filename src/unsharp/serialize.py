@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .linalg import DensityMatrix, require_finite, validate_density
+from .linalg import DensityMatrix, require_finite, require_unit_trace, validate_density
 from .povm import Povm, make_povm
 
 
@@ -75,8 +75,12 @@ def state_from_json(obj) -> DensityMatrix:
     if "matrix" in obj:
         return validate_density(_decode_complex(obj["matrix"], (d, d), "state matrix"))
     if "vector" in obj:
-        # Checked before the outer product, which warns on an infinite entry.
+        # Both checked before the outer product, which warns on an infinite
+        # entry or on one whose square overflows; the trace of |psi><psi| is
+        # then far from 1.
         psi = require_finite(_decode_complex(obj["vector"], (d,), "state vector"), "density matrix", core_ndim=1)
+        with np.errstate(over="ignore"):
+            require_unit_trace(np.sum(psi.real**2 + psi.imag**2))
         return validate_density(np.outer(psi, psi.conj()))
     raise ParseError("state document needs a 'matrix' or 'vector' field")
 

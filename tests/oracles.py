@@ -5,6 +5,8 @@ the defining formula, so a test against them does not compare the kernel
 with itself.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from unsharp.errors import DimensionMismatch
@@ -17,6 +19,32 @@ def mu_oracle(basis_a, basis_b) -> float:
     """Largest-overlap bound -log2 max_{i,j} |<a_i|b_j>|^2 of two bases (rows)."""
     overlaps = np.asarray(basis_a).conj() @ np.asarray(basis_b).T
     return float(-np.log2(np.max(np.abs(overlaps) ** 2)))
+
+
+def majorization_w_svd(basis_a, basis_b) -> np.ndarray:
+    """w of ``majorization_vector`` by one batched SVD per subset-size pair.
+
+    w_k = 1 + max sigma_max(U[R, S]) over |R| + |S| = k + 1, with U the
+    overlap matrix of two (stacks of) bases: every block of both shapes is
+    decomposed, a single row or column by its Euclidean norm, and w_d = 2.
+    """
+    u = np.asarray(basis_a).conj() @ np.asarray(basis_b).swapaxes(-1, -2)
+    d = u.shape[-1]
+    subsets = [np.array(list(combinations(range(d), size)), dtype=np.intp) for size in range(d)]
+    top = np.zeros(u.shape[:-1])
+    for r_size in range(1, d):
+        rows = u[..., subsets[r_size], :]
+        for s_size in range(1, d + 1 - r_size):
+            # (..., R, |R|, S, |S|) -> (..., R, S, |R|, |S|): every U[R, S] of these sizes.
+            block = rows[..., subsets[s_size]].swapaxes(-3, -2)
+            if min(r_size, s_size) == 1:
+                sigma = np.sqrt(np.sum(np.abs(block) ** 2, axis=(-2, -1)))
+            else:
+                sigma = np.linalg.svd(block, compute_uv=False)[..., 0]
+            k = r_size + s_size - 1
+            top[..., k - 1] = np.maximum(top[..., k - 1], sigma.max(axis=(-2, -1)))
+    top[..., d - 1] = 1.0
+    return 1.0 + top
 
 
 def coles_oracle(a, b):

@@ -40,7 +40,7 @@ from unsharp.uncertainty import (
     von_neumann_entropy,
 )
 
-from oracles import berta_reduced_bound, coles_oracle, mu_oracle
+from oracles import berta_reduced_bound, coles_oracle, majorization_w_svd, mu_oracle
 
 PLUS_MINUS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -509,6 +509,23 @@ class TestAgainstOracles:
         for basis_a, basis_b in pairs:
             mv = majorization_vector(basis_a, basis_b)
             np.testing.assert_allclose(mv.w, majorization_w_enumerated(basis_a, basis_b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, MAX_MAJORIZATION_DIM + 1))
+    def test_majorization_matches_svd_enumeration(self, d, monkeypatch):
+        rng = np.random.default_rng(40 + d)
+        perm = np.eye(d)[rng.permutation(d)]  # blocks with exactly degenerate sigma = 1
+        pairs = [(random_basis(d, rng), random_basis(d, rng)) for _ in range(3 if d < 8 else 1)]
+        pairs += [mub_fourier_basis(d), (np.eye(d), np.eye(d)), (np.eye(d), perm)]
+        stack_a, stack_b = (np.stack(bases) for bases in zip(*pairs))
+        expected = majorization_w_svd(stack_a, stack_b)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("majorization_vector called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for (basis_a, basis_b), w in zip(pairs, expected):
+            np.testing.assert_allclose(majorization_vector(basis_a, basis_b).w, w, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(majorization_vector(stack_a, stack_b).w, expected, rtol=0, atol=1e-15)
 
     def test_stacked_sandwich_matches_loop(self):
         rng = np.random.default_rng(42)

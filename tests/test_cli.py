@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unsharp.bounds import MAX_MAJORIZATION_DIM
+from unsharp import cli
 from unsharp.cli import main
 from unsharp.linalg import DensityMatrix
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
@@ -169,6 +170,36 @@ class TestBounds:
         assert values["D_WN"] == 0.0
         assert not {"HW", "QW", "B2"} & set(values)
         assert any(f"d <= {MAX_MAJORIZATION_DIM}" in note for note in report["notes"])
+
+
+class TestSharedParser:
+    """The parser is built once per process and carries nothing between commands."""
+
+    def test_two_commands_build_one_parser(self, files, capsys):
+        cli.build_parser.cache_clear()
+        assert main(["validate", files["pvm_x"]]) == 0
+        assert main(["bounds", files["pvm_x"], files["pvm_z"]]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_leaves_next_command_unchanged(self, files, capsys):
+        argv = ["bounds", files["pvm_x"], files["pvm_z"]]
+        assert main(argv) == 0
+        before = capsys.readouterr()
+        # Rejected after every other argument, --state included, was parsed.
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--state", files["mixed"], "--bogus"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr() == before
+
+    def test_state_does_not_carry_over(self, files, capsys):
+        assert main(["bounds", files["pvm_x"], files["pvm_z"], "--state", files["mixed"]]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["state"] is True
+        assert main(["bounds", files["pvm_x"], files["pvm_z"]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "state" not in report["metadata"]
+        assert "H_A" not in report["values"]
 
 
 class TestInputBoundary:

@@ -9,6 +9,7 @@ from unsharp.errors import (
     NotHermitian,
     NotOrthonormal,
     NotPositive,
+    ValidationError,
 )
 from unsharp.povm import (
     Povm,
@@ -87,6 +88,16 @@ class TestMakePovm:
         assert calls == [(n, 3, 3)]
         assert povm.eigenvalues.shape == (n, 3)
         assert povm.eigenvectors.shape == (n, 3, 3)
+
+    @pytest.mark.parametrize(
+        "effects",
+        [[], np.eye(2), np.zeros((2, 2, 3)), [[[1.0, 0.0], [0.0]]], [np.eye(2), np.eye(3)], [[[None, 0.0], [0.0, 1.0]]], [[["x"]]], [[[10**400]]]],
+        ids=["empty", "2d", "not-square", "ragged", "mixed-dims", "none", "string", "huge-int"],
+    )
+    @pytest.mark.parametrize("build", [Povm, make_povm])
+    def test_malformed_effect_array(self, build, effects):
+        with pytest.raises(ValidationError):
+            build(effects)
 
     def test_effects_read_only(self):
         povm = make_povm([np.eye(2) / 2, np.eye(2) / 2])

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from unsharp.errors import CompletenessViolated, NotFinite, ParseError, TraceNotOne
+from unsharp.errors import CompletenessViolated, NotFinite, NotHermitian, ParseError, TraceNotOne
 from unsharp.linalg import DensityMatrix
 from unsharp.povm import mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.serialize import (
@@ -118,3 +118,39 @@ class TestInfiniteEntries:
             warnings.simplefilter("error")
             with pytest.raises(NotFinite, match="has a NaN or infinite entry"):
                 loader(json.loads(text))
+
+
+class TestEntriesNearFloatMax:
+    """Finite entries whose products or sums overflow fail their check, without a warning."""
+
+    @staticmethod
+    def load(loader, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loader(json.loads(json.dumps(doc)))
+
+    def test_vector_whose_square_overflows(self):
+        doc = {"dim": 2, "vector": [[1e200, 0], [0, 0]]}
+        with pytest.raises(TraceNotOne, match="trace is inf") as info:
+            self.load(state_from_json, doc)
+        assert not isinstance(info.value, NotFinite)
+
+    def test_vector_with_both_parts_near_max(self):
+        doc = {"dim": 2, "vector": [[1.7e308, -1.7e308], [0, 0]]}
+        with pytest.raises(TraceNotOne, match="trace is inf"):
+            self.load(state_from_json, doc)
+
+    @pytest.mark.parametrize("site", ["effect", "matrix"])
+    def test_non_hermitian_near_max(self, site):
+        big = [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]
+        doc = {
+            "effect": {"dim": 2, "effects": [big, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            "matrix": {"dim": 2, "matrix": big},
+        }[site]
+        with pytest.raises(NotHermitian, match="is inf >"):
+            self.load(povm_from_json if site == "effect" else state_from_json, doc)
+
+    def test_trace_that_overflows(self):
+        doc = {"dim": 2, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}
+        with pytest.raises(TraceNotOne, match="trace is inf"):
+            self.load(state_from_json, doc)
