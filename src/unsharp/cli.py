@@ -20,7 +20,7 @@ from .bounds import krishna_bound, min_device_uncertainty, pair_bound_report
 from .errors import ConfigError, ParseError, ValidationError
 from .serialize import json_int, load_povm, load_state
 from .suites import SUITES, run_suite
-from .sweeps import SweepConfig, damping_sweep, theta_sweep
+from .sweeps import SweepConfig, run_sweep
 from .uncertainty import device_uncertainty, outcome_probs, quantum_uncertainty, shannon_entropy
 
 EXIT_OK = 0
@@ -108,8 +108,9 @@ def _path(value, key: str) -> str:
     return value
 
 
-def _sweep_config(args, kind: str) -> SweepConfig:
-    """The effective settings, CLI flag > config file > default; any bad one raises ConfigError."""
+def _sweep_config(args) -> SweepConfig:
+    """The effective settings of the sweep ``args.kind``, CLI flag > config file > default;
+    any bad one raises ConfigError. A damping sweep reads no eta or zeta."""
     try:
         config = {}
         if args.config is not None:
@@ -125,24 +126,16 @@ def _sweep_config(args, kind: str) -> SweepConfig:
                 value = config.get(key, default)
             return None if value is None and default is None else convert(value, key)
 
-        if kind == "theta":
-            sweep = SweepConfig(
-                kind="theta",
-                start=setting("start", 0.0),
-                stop=setting("stop", float(np.pi)),
-                steps=setting("steps", 181, json_int),
-                eta=setting("eta", None),
-                zeta=setting("zeta", None),
-                out=setting("out", None, _path),
-            )
-        else:
-            sweep = SweepConfig(
-                kind="damping",
-                start=setting("start", 0.0),
-                stop=setting("stop", 1.0),
-                steps=setting("steps", 101, json_int),
-                out=setting("out", None, _path),
-            )
+        theta = args.kind == "theta"
+        sweep = SweepConfig(
+            kind=args.kind,
+            start=setting("start", 0.0),
+            stop=setting("stop", float(np.pi) if theta else 1.0),
+            steps=setting("steps", 181 if theta else 101, json_int),
+            eta=setting("eta", None) if theta else None,
+            zeta=setting("zeta", None) if theta else None,
+            out=setting("out", None, _path),
+        )
         if sweep.out is None:
             raise ValueError("an output path is required (--out or config file)")
         return sweep
@@ -150,23 +143,14 @@ def _sweep_config(args, kind: str) -> SweepConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _run_sweep(args, kind: str) -> int:
-    config = _sweep_config(args, kind)
-    result = theta_sweep(config) if kind == "theta" else damping_sweep(config)
+def cmd_sweep(args) -> int:
+    config = _sweep_config(args)
+    result = run_sweep(config)
     result.write_csv(config.out)
-    for name, points in result.crossovers.items():
-        formatted = ", ".join(f"{x:.4f}" for x in points) if points else "none"
-        print(f"crossover {name}: {formatted}")
-    print(f"wrote {len(result.rows)} rows to {config.out}")
+    for line in result.crossover_lines():
+        print(line)
+    print(f"wrote {config.steps} rows to {config.out}")
     return EXIT_OK
-
-
-def cmd_sweep_theta(args) -> int:
-    return _run_sweep(args, "theta")
-
-
-def cmd_sweep_damping(args) -> int:
-    return _run_sweep(args, "damping")
 
 
 def cmd_verify(args) -> int:
@@ -208,23 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("sweep-theta", help="angle sweep of the spin-pair bounds")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--out")
-    p.add_argument("--config", help="JSON file with default settings")
-    p.set_defaults(func=cmd_sweep_theta)
-
-    p = sub.add_parser("sweep-damping", help="damping sweep of the d=3 pair bounds")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--out")
-    p.add_argument("--config", help="JSON file with default settings")
-    p.set_defaults(func=cmd_sweep_damping)
+    for kind, about in (("theta", "angle sweep of the spin-pair bounds"), ("damping", "damping sweep of the d=3 pair bounds")):
+        p = sub.add_parser(f"sweep-{kind}", help=about)
+        if kind == "theta":
+            p.add_argument("--eta", type=float)
+            p.add_argument("--zeta", type=float)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--start", type=float)
+        p.add_argument("--stop", type=float)
+        p.add_argument("--out")
+        p.add_argument("--config", help="JSON file with default settings")
+        p.set_defaults(func=cmd_sweep, kind=kind)
 
     p = sub.add_parser("verify", help="run a randomized property suite")
     p.add_argument("--suite", required=True, help=f"one of {sorted(SUITES)}")

@@ -9,6 +9,7 @@ Fourier couple of mutually unbiased bases.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -23,13 +24,15 @@ THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
 
 CROSSOVER_TOL = 1e-4
-# Largest grid. The grid is computed in blocks of _GRID_BLOCK points, so the
-# POVM stacks and temporaries of one call stay a few MB; what grows is the
-# output (rows and CSV text), about 0.4 KB of peak RSS per damping point and
-# 0.6 KB per theta point. Measured at 10^5 points: 74 MB (damping) and 95 MB
-# (theta), against 32 MB at the default grids.
+# Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
+# _GRID_BLOCK points, so the POVM stacks, temporaries and text of one block
+# stay a few MB; what grows is the column table (and the blocks it is joined
+# from), about 0.1 KB of peak RSS per damping point and 0.2 KB per theta point.
+# Measured with ru_maxrss at 10^5 points: 41.7 MB (damping) and 47.9 MB
+# (theta), against 31.6 MB at the default grids.
 MAX_STEPS = 100_000
-# Grid points per column call; at least 181 so that each default grid is one call.
+# Grid points per column call and per block of CSV rows; at least 181 so that
+# each default grid is one call.
 _GRID_BLOCK = 1024
 
 # Fixed measurement bases: sigma_z for the angle sweep, the d=3 Fourier pair
@@ -91,31 +94,44 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid rows in column order plus refined crossover locations."""
+    """One sweep's grid values and refined crossover locations.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    ``table`` maps each CSV column name, in CSV order, to its read-only
+    (steps,) float array; ``crossovers`` maps each difference label to its
+    crossings in grid order, rounded to 4 decimals.
+    """
+
+    table: dict[str, np.ndarray]
     crossovers: dict[str, tuple[float, ...]]
     config: SweepConfig
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+    def crossover_lines(self) -> list[str]:
+        """One ``crossover NAME: x, y`` line per difference, ``none`` if it has no crossing."""
+        return [
+            f"crossover {name}: {', '.join(f'{x:.4f}' for x in points) if points else 'none'}"
+            for name, points in self.crossovers.items()
+        ]
 
-    def csv_lines(self) -> list[str]:
-        lines = [f"# {entry}" for entry in self.config.echo()]
-        for name, points in self.crossovers.items():
-            formatted = ", ".join(f"{x:.4f}" for x in points) if points else "none"
-            lines.append(f"# crossover {name}: {formatted}")
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(f"{value:.12g}" for value in row))
-        return lines
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV lines, without newlines: the configuration and crossovers as
+        ``#`` comments, the header, then one row per grid point.
+
+        Rows are formatted one block of ``_GRID_BLOCK`` points at a time, so
+        the Python floats and text held at once do not grow with the grid.
+        """
+        yield from (f"# {line}" for line in self.config.echo() + self.crossover_lines())
+        yield ",".join(self.table)
+        columns = list(self.table.values())
+        for start in range(0, self.config.steps, _GRID_BLOCK):
+            block = [column[start : start + _GRID_BLOCK].tolist() for column in columns]
+            for row in zip(*block):
+                yield ",".join(f"{value:.12g}" for value in row)
 
     def write_csv(self, path) -> None:
-        """Write csv_lines() to path; ConfigError if the file cannot be written."""
+        """Write csv_lines() to path as they are made; ConfigError if the file cannot be written."""
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(self.csv_lines()) + "\n")
+                handle.writelines(f"{line}\n" for line in self.csv_lines())
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -194,36 +210,25 @@ def _damping_columns(e: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _sweep(config: SweepConfig, columns_of, names: tuple[str, ...], differences: dict) -> SweepResult:
-    """Evaluate the grid in blocks of ``_GRID_BLOCK`` points through ``columns_of``
-    and bisect every labelled difference ``(minuend, subtrahend)`` through it."""
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Evaluate the sweep that ``config.kind`` names and locate its crossovers.
+
+    theta: B1, B2, -log2 C, D_WN, H(W) and Q(W) over the angle; detects where
+    B2 overtakes B1, and where the total device uncertainty overtakes -log2 C
+    and B1. damping: -log2 C (numeric and closed form) against D_AD over the
+    transition probability; detects where the minimized pair device
+    uncertainty becomes the stronger bound.
+
+    The grid is evaluated in blocks of ``_GRID_BLOCK`` points through the
+    kind's column function, and every difference is bisected through it.
+    """
+    if config.kind == "theta":
+        columns_of = partial(_theta_columns, eta=config.eta, zeta=config.zeta)
+        names = THETA_COLUMNS
+        differences = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN-B1": ("D_WN", "B1")}
+    else:
+        columns_of, names, differences = _damping_columns, DAMPING_COLUMNS, {"D_AD-logC": ("D_AD", "logC_numeric")}
     grid = config.grid()
     blocks = [columns_of(grid[start : start + _GRID_BLOCK]) for start in range(0, grid.size, _GRID_BLOCK)]
-    table = {name: np.concatenate([block[name] for block in blocks]) for name in names}
-    rows = tuple(zip(*(table[name].tolist() for name in names)))
-    crossovers = find_crossings(grid, table, differences, columns_of)
-    return SweepResult(columns=names, rows=rows, crossovers=crossovers, config=config)
-
-
-def theta_sweep(config: SweepConfig) -> SweepResult:
-    """Angle sweep of B1, B2, -log2 C, D_WN, H(W) and Q(W).
-
-    Detects where B2 overtakes B1, and where the total device uncertainty
-    overtakes -log2 C and B1.
-    """
-    if config.kind != "theta":
-        raise ValueError("theta_sweep needs a config of kind 'theta'")
-    columns_of = partial(_theta_columns, eta=config.eta, zeta=config.zeta)
-    differences = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN-B1": ("D_WN", "B1")}
-    return _sweep(config, columns_of, THETA_COLUMNS, differences)
-
-
-def damping_sweep(config: SweepConfig) -> SweepResult:
-    """Damping sweep of -log2 C (numeric and closed form) against D_AD.
-
-    Detects the transition probability beyond which the minimized pair
-    device uncertainty becomes the stronger bound.
-    """
-    if config.kind != "damping":
-        raise ValueError("damping_sweep needs a config of kind 'damping'")
-    return _sweep(config, _damping_columns, DAMPING_COLUMNS, {"D_AD-logC": ("D_AD", "logC_numeric")})
+    table = {name: _frozen(np.concatenate([block[name] for block in blocks])) for name in names}
+    return SweepResult(table=table, crossovers=find_crossings(grid, table, differences, columns_of), config=config)

@@ -25,7 +25,7 @@ from unsharp.suites import (
     suite_validity,
     suite_whitenoise,
 )
-from unsharp.sweeps import SweepConfig, damping_sweep, spin_basis, theta_sweep
+from unsharp.sweeps import SweepConfig, run_sweep, spin_basis
 from unsharp.uncertainty import binary_entropy, device_uncertainty
 
 
@@ -48,7 +48,7 @@ def ad_pair(e):
 def test_criterion_01_damping_crossover(report):
     failures = []
     start = time.perf_counter()
-    result = damping_sweep(SweepConfig(kind="damping", start=0.0, stop=1.0, steps=101))
+    result = run_sweep(SweepConfig(kind="damping", start=0.0, stop=1.0, steps=101))
     elapsed = time.perf_counter() - start
     crossings = result.crossovers["D_AD-logC"]
     if len(crossings) != 1:
@@ -94,11 +94,11 @@ def test_criterion_03_damping_coles_closed_form(report):
 
 def test_criterion_04_sharp_angle_sweep(report):
     failures = []
-    result = theta_sweep(SweepConfig(kind="theta", start=0.0, stop=float(np.pi), steps=181, eta=1.0, zeta=1.0))
-    grid = result.column("theta")
-    b1 = result.column("B1")
-    b2 = result.column("B2")
-    hw = result.column("HW")
+    result = run_sweep(SweepConfig(kind="theta", start=0.0, stop=float(np.pi), steps=181, eta=1.0, zeta=1.0))
+    grid = result.table["theta"]
+    b1 = result.table["B1"]
+    b2 = result.table["B2"]
+    hw = result.table["HW"]
 
     mid = int(np.argmin(np.abs(grid - np.pi / 2)))
     if abs(grid[mid] - np.pi / 2) > 1e-12:

@@ -391,6 +391,32 @@ class TestSweepDamping:
         table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
         assert np.all(np.isfinite(table))
 
+    def test_eta_flag_is_a_usage_error(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-damping", "--eta", "0.5", "--out", str(files["tmp"] / "h.csv")])
+        assert exc.value.code == 2
+
+    def test_config_noise_keys_are_ignored(self, files):
+        path = files["tmp"] / "cfg.json"
+        path.write_text(json.dumps({"eta": "x", "zeta": [1], "steps": 5}))
+        out = files["tmp"] / "i.csv"
+        assert main(["sweep-damping", "--config", str(path), "--out", str(out)]) == 0
+        assert not any(line.startswith(("# eta", "# zeta")) for line in out.read_text().split("\n"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-theta", "--eta", "0.8", "--zeta", "0.9", "--steps", "61"], ["sweep-damping", "--steps", "41"]],
+    ids=["theta", "damping"],
+)
+def test_stdout_crossovers_match_csv_comments(files, capsys, argv):
+    out = files["tmp"] / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.split("\n") if line.startswith("crossover ")]
+    commented = [line[2:] for line in out.read_text().split("\n") if line.startswith("# crossover ")]
+    assert printed
+    assert printed == commented
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,9 @@ from unsharp.sweeps import (
     MAX_STEPS,
     THETA_COLUMNS,
     SweepConfig,
-    damping_sweep,
     find_crossings,
+    run_sweep,
     spin_basis,
-    theta_sweep,
 )
 
 
@@ -75,11 +76,12 @@ class TestSpinBasis:
 
 class TestThetaSweep:
     def test_columns_and_shape(self):
-        result = theta_sweep(theta_config(0.8, 0.9, steps=13))
-        assert result.columns == THETA_COLUMNS
-        assert len(result.rows) == 13
-        assert all(len(row) == len(THETA_COLUMNS) for row in result.rows)
-        assert np.all(np.isfinite(np.array(result.rows)))
+        result = run_sweep(theta_config(0.8, 0.9, steps=13))
+        assert tuple(result.table) == THETA_COLUMNS
+        for values in result.table.values():
+            assert values.shape == (13,)
+            assert np.all(np.isfinite(values))
+            assert not values.flags.writeable
 
     def test_identical_sharp_bases_give_zero(self):
         row = theta_point(0.0, 1.0, 1.0)
@@ -94,12 +96,12 @@ class TestThetaSweep:
         assert row["D_WN"] == pytest.approx(0.0, abs=1e-12)
 
     def test_d_wn_column_is_constant(self):
-        result = theta_sweep(theta_config(0.6, 0.8, steps=9))
+        result = run_sweep(theta_config(0.6, 0.8, steps=9))
         expected = device_uncertainty_white_noise(0.6, 2) + device_uncertainty_white_noise(0.8, 2)
-        np.testing.assert_allclose(result.column("D_WN"), expected, atol=1e-12)
+        np.testing.assert_allclose(result.table["D_WN"], expected, atol=1e-12)
 
     def test_crossovers_sharp_case(self):
-        result = theta_sweep(theta_config(1.0, 1.0, steps=181))
+        result = run_sweep(theta_config(1.0, 1.0, steps=181))
         crossings = result.crossovers["B2-B1"]
         assert len(crossings) == 2
         assert abs((np.pi / 2 - crossings[0]) - 0.15) < 0.02
@@ -107,11 +109,11 @@ class TestThetaSweep:
 
     def test_csv_deterministic(self):
         config = theta_config(0.7, 0.5, steps=11)
-        assert theta_sweep(config).csv_lines() == theta_sweep(config).csv_lines()
+        assert list(run_sweep(config).csv_lines()) == list(run_sweep(config).csv_lines())
 
     def test_csv_structure(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        result = theta_sweep(theta_config(1.0, 1.0, steps=7))
+        result = run_sweep(theta_config(1.0, 1.0, steps=7))
         result.write_csv(path)
         lines = path.read_text().strip().split("\n")
         comments = [line for line in lines if line.startswith("# ")]
@@ -124,24 +126,24 @@ class TestThetaSweep:
 
 class TestDampingSweep:
     def test_columns_and_endpoints(self):
-        result = damping_sweep(damping_config(steps=11))
-        assert result.columns == DAMPING_COLUMNS
-        first = dict(zip(DAMPING_COLUMNS, result.rows[0]))
-        last = dict(zip(DAMPING_COLUMNS, result.rows[-1]))
+        result = run_sweep(damping_config(steps=11))
+        assert tuple(result.table) == DAMPING_COLUMNS
+        first = {name: values[0] for name, values in result.table.items()}
+        last = {name: values[-1] for name, values in result.table.items()}
         assert first["logC_numeric"] == pytest.approx(np.log2(3.0), abs=1e-10)
         assert first["D_AD"] == pytest.approx(0.0, abs=1e-12)
         assert last["logC_numeric"] == pytest.approx(0.0, abs=1e-10)
         assert last["D_AD"] == pytest.approx(0.0, abs=1e-12)
 
     def test_crossover_near_paper_value(self):
-        result = damping_sweep(damping_config(steps=101))
+        result = run_sweep(damping_config(steps=101))
         crossings = result.crossovers["D_AD-logC"]
         assert len(crossings) == 1
         assert abs(crossings[0] - 0.564) < 0.005
 
     def test_symmetry_of_pair_bound(self):
-        result = damping_sweep(damping_config(steps=21))
-        d_ad = result.column("D_AD")
+        result = run_sweep(damping_config(steps=21))
+        d_ad = result.table["D_AD"]
         np.testing.assert_allclose(d_ad, d_ad[::-1], atol=1e-12)
 
 
@@ -298,8 +300,8 @@ class TestAgainstRowReference:
         rows, crossovers = reference_sweep(
             config, lambda t: reference_theta_row(t, eta, zeta), THETA_COLUMNS, THETA_DIFFERENCES
         )
-        result = theta_sweep(config)
-        np.testing.assert_allclose(np.array(result.rows), np.array(rows), atol=1e-12, rtol=0)
+        result = run_sweep(config)
+        np.testing.assert_allclose(np.column_stack(list(result.table.values())), np.array(rows), atol=1e-12, rtol=0)
         assert result.crossovers == crossovers
 
     def test_damping_sweep(self):
@@ -307,13 +309,19 @@ class TestAgainstRowReference:
         rows, crossovers = reference_sweep(
             config, reference_damping_row, DAMPING_COLUMNS, {"D_AD-logC": ("D_AD", "logC_numeric")}
         )
-        result = damping_sweep(config)
-        np.testing.assert_allclose(np.array(result.rows), np.array(rows), atol=1e-12, rtol=0)
+        result = run_sweep(config)
+        np.testing.assert_allclose(np.column_stack(list(result.table.values())), np.array(rows), atol=1e-12, rtol=0)
         assert result.crossovers == crossovers
 
-    def test_rows_hold_python_floats(self):
-        result = theta_sweep(theta_config(0.7, 0.5, steps=5))
-        assert all(type(value) is float for row in result.rows for value in row)
+    def test_csv_cells_format_table_values(self, monkeypatch):
+        # Blocks of 4 rows, the last one partial.
+        monkeypatch.setattr(sweeps, "_GRID_BLOCK", 4)
+        result = run_sweep(theta_config(0.7, 0.5, steps=11))
+        lines = list(result.csv_lines())
+        header = lines.index(",".join(THETA_COLUMNS))
+        cells = [line.split(",") for line in lines[header + 1 :]]
+        expected = [[f"{float(x):.12g}" for x in values] for values in result.table.values()]
+        assert [list(column) for column in zip(*cells)] == expected
 
 
 class TestNoPhantomCrossing:
@@ -325,7 +333,7 @@ class TestNoPhantomCrossing:
 
     @pytest.mark.parametrize("eta, zeta", [(0.0, 1.0), (1.0, 0.0)])
     def test_d_wn_b1_crossings_at_right_angle(self, eta, zeta):
-        crossings = theta_sweep(theta_config(eta, zeta, steps=181)).crossovers["D_WN-B1"]
+        crossings = run_sweep(theta_config(eta, zeta, steps=181)).crossovers["D_WN-B1"]
         assert crossings
         assert all(abs(x - np.pi / 2) < 1e-3 for x in crossings)
 
@@ -377,7 +385,7 @@ class TestSweepWork:
     def test_theta_sweep(self, work):
         counts, shapes, searches = work
         steps = 181
-        result = theta_sweep(theta_config(0.8, 0.9, steps=steps))
+        result = run_sweep(theta_config(0.8, 0.9, steps=steps))
         ((bisection, delta, found),) = searches
         assert found == result.crossovers
         assert all(len(points) == 2 for points in found.values())
@@ -397,7 +405,7 @@ class TestSweepWork:
     def test_damping_sweep(self, work):
         counts, shapes, searches = work
         steps = 41
-        result = damping_sweep(damping_config(steps=steps))
+        result = run_sweep(damping_config(steps=steps))
         ((bisection, delta, found),) = searches
         assert found == result.crossovers
         assert found["D_AD-logC"] != ()
@@ -407,11 +415,32 @@ class TestSweepWork:
 
     def test_grid_in_blocks(self, work, monkeypatch):
         _, shapes, searches = work
-        whole = theta_sweep(theta_config(0.3, 0.7, steps=61))
+        whole = run_sweep(theta_config(0.3, 0.7, steps=61))
+        whole_lines = list(whole.csv_lines())
         shapes.clear()
         monkeypatch.setattr(sweeps, "_GRID_BLOCK", 7)
-        blocked = theta_sweep(theta_config(0.3, 0.7, steps=61))
+        blocked = run_sweep(theta_config(0.3, 0.7, steps=61))
         # 61 points in blocks of 7, then the bisection calls.
         assert shapes == [(7,)] * 8 + [(5,)] + searches[-1][0]
-        assert blocked.rows == whole.rows
+        assert list(blocked.table) == list(whole.table)
+        for name, values in whole.table.items():
+            np.testing.assert_array_equal(blocked.table[name], values)
         assert blocked.crossovers == whole.crossovers
+        # The CSV rows are formatted in blocks of 7 here, in one block above.
+        assert list(blocked.csv_lines()) == whole_lines
+
+
+class TestCsvMemory:
+    def test_write_csv_streams(self, tmp_path):
+        # Writing holds one block of formatted rows, not the whole file's text:
+        # the traced peak counts only what write_csv allocates above the result.
+        result = run_sweep(theta_config(0.8, 0.9, steps=20_001))
+        tracemalloc.start()
+        try:
+            result.write_csv(tmp_path / "long.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with open(tmp_path / "long.csv", encoding="utf-8") as handle:
+            assert sum(1 for line in handle if not line.startswith("#")) == 20_002
