@@ -23,17 +23,23 @@ from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
 
-CROSSOVER_TOL = 1e-4
+# Crossovers are reported correctly rounded to this many decimals.
+CROSSOVER_DECIMALS = 4
+# A bracket this narrow stops even if its ends round apart: its root lies on a
+# rounding boundary, to within this width.
+_WIDTH_FLOOR = 1e-12
+# ITP truncation coefficient, in units of 1 / (grid interval).
+_ITP_K1 = 0.01
 # Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
 # _GRID_BLOCK points, so the POVM stacks, temporaries and text of one block
-# stay a few MB; what grows is the column table (and the blocks it is joined
-# from), about 0.1 KB of peak RSS per damping point and 0.2 KB per theta point.
-# Measured with ru_maxrss at 10^5 points: 41.7 MB (damping) and 47.9 MB
-# (theta), against 31.6 MB at the default grids.
+# stay a few MB; what grows is the column table, filled in place block by
+# block, about 0.06 KB of peak RSS per damping point and 0.08 KB per theta
+# point. Measured with ru_maxrss at 10^5 points: 37.7 MB (damping) and
+# 39.8 MB (theta), against 32.0 MB at the default grids.
 MAX_STEPS = 100_000
 # Grid points per column call and per block of CSV rows; at least 181 so that
 # each default grid is one call.
-_GRID_BLOCK = 1024
+_GRID_BLOCK = 512
 
 # Fixed measurement bases: sigma_z for the angle sweep, the d=3 Fourier pair
 # for the damping sweep.
@@ -98,7 +104,8 @@ class SweepResult:
 
     ``table`` maps each CSV column name, in CSV order, to its read-only
     (steps,) float array; ``crossovers`` maps each difference label to its
-    crossings in grid order, rounded to 4 decimals.
+    crossings in grid order, each the root of the difference correctly
+    rounded to ``CROSSOVER_DECIMALS`` decimals (see ``find_crossings``).
     """
 
     table: dict[str, np.ndarray]
@@ -108,7 +115,7 @@ class SweepResult:
     def crossover_lines(self) -> list[str]:
         """One ``crossover NAME: x, y`` line per difference, ``none`` if it has no crossing."""
         return [
-            f"crossover {name}: {', '.join(f'{x:.4f}' for x in points) if points else 'none'}"
+            f"crossover {name}: {', '.join(f'{x:.{CROSSOVER_DECIMALS}f}' for x in points) if points else 'none'}"
             for name, points in self.crossovers.items()
         ]
 
@@ -147,44 +154,74 @@ def spin_basis(theta) -> np.ndarray:
 
 
 def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -> dict[str, tuple[float, ...]]:
-    """Strict sign changes of each labelled difference, refined by bisection.
+    """Strict sign changes of each labelled difference, correctly rounded to
+    ``CROSSOVER_DECIMALS`` decimals.
 
     ``differences`` maps a label to a ``(minuend, subtrahend)`` pair of column
     names, ``table`` holds those columns on the grid ``xs``, and
     ``columns_of`` computes them at an array of points. Every pair of adjacent
-    grid points where a difference changes sign is a bracket, and the brackets
-    of all differences are bisected together: each step is one ``columns_of``
-    call on the (k,) midpoints of the k brackets still wider than
-    ``CROSSOVER_TOL``, and each bracket reads its own difference from the
-    result. A midpoint where the difference is exactly zero ends its bracket
-    there. Grid points where the difference is exactly zero (degenerate
-    equalities at grid endpoints) are not crossings.
-    Each label gets its results rounded to 4 decimals, in grid order, without
-    duplicates.
+    grid points where a difference changes sign is a bracket; grid points
+    where the difference is exactly zero (degenerate equalities at grid
+    endpoints) are not crossings. The brackets of all differences are refined
+    together by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020), starting
+    from the values in ``table``: each step is one ``columns_of`` call on one
+    probe point per open bracket, and each bracket reads its own difference
+    from the result.
+
+    A bracket stops when both of its ends round to the same value, which it
+    reports. It also stops when a probe's difference is exactly zero,
+    reporting that probe rounded, and when it is narrower than
+    ``_WIDTH_FLOOR`` (its root then lies within that width of a rounding
+    boundary), reporting its rounded midpoint. Worst case: every probe lies
+    close enough to its bracket's midpoint that after m + 1 calls a bracket
+    is no wider than bisection leaves it after m, so it reaches the width
+    floor in at most one call more than bisection.
+    Each label gets its results in grid order, without duplicates.
     """
-    pairs = list(differences.values())
+    xs, pairs = np.asarray(xs, dtype=float), list(differences.values())
 
     def difference_rows(columns) -> np.ndarray:
         return np.array([columns[minuend] - columns[subtrahend] for minuend, subtrahend in pairs], dtype=float)
 
-    xs, values = np.asarray(xs, dtype=float), difference_rows(table)
-    owner, i = np.nonzero(values[:, :-1] * values[:, 1:] < 0.0)
-    lo, hi, lo_negative = xs[i], xs[i + 1], values[owner, i] < 0.0
-    active = hi - lo > CROSSOVER_TOL
+    def brackets(k, minuend, subtrahend):
+        # One difference at a time, so the grid-sized temporaries are one column's.
+        values = table[minuend] - table[subtrahend]
+        i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        return np.full(i.size, k), xs[i], xs[i + 1], values[i], values[i + 1]
+
+    def unsettled(lo, hi) -> np.ndarray:
+        rounds_apart = np.round(lo, CROSSOVER_DECIMALS) != np.round(hi, CROSSOVER_DECIMALS)
+        return rounds_apart & (hi - lo > _WIDTH_FLOOR)
+
+    owner, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*(brackets(k, *pair) for k, pair in enumerate(pairs))))
+    # ITP with k1 = _ITP_K1 / h, k2 = 2 and n0 = 1 for a grid interval h: after
+    # j calls a probe lies within budget - width / 2 of the midpoint, with
+    # budget = h / 2**j, so the next bracket is at most budget wide.
+    k1, budget = _ITP_K1 / (hi - lo), hi - lo
+    active = unsettled(lo, hi)
     while active.any():
         j = np.flatnonzero(active)
-        mid = (lo[j] + hi[j]) / 2.0
-        f_mid = difference_rows(columns_of(mid))[owner[j], np.arange(j.size)]
-        zero = f_mid == 0.0
-        move_lo = (f_mid < 0.0) == lo_negative[j]
-        lo[j] = np.where(zero | move_lo, mid, lo[j])
-        hi[j] = np.where(zero | ~move_lo, mid, hi[j])
-        active[j] = ~zero & (hi[j] - lo[j] > CROSSOVER_TOL)
-    found = (lo + hi) / 2.0
-    return {
-        label: tuple(dict.fromkeys(round(float(x), 4) for x in found[owner == k]))
-        for k, label in enumerate(differences)
-    }
+        a, b, fa, fb = lo[j], hi[j], f_lo[j], f_hi[j]
+        mid, width = (a + b) / 2.0, b - a
+        # Interpolate (regula falsi), then truncate toward the midpoint.
+        falsi = (a * fb - b * fa) / (fb - fa)
+        toward = np.sign(mid - falsi)
+        delta = k1[j] * width**2
+        probe = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta, mid)
+        # Project into the budget's radius around the midpoint.
+        radius = np.maximum(budget[j] - width / 2.0, 0.0)
+        probe = np.where(np.abs(probe - mid) <= radius, probe, mid - toward * radius)
+        budget[j] /= 2.0
+        f = difference_rows(columns_of(probe))[owner[j], np.arange(j.size)]
+        zero = f == 0.0
+        move_lo = (f < 0.0) == (fa < 0.0)
+        lo[j] = np.where(zero | move_lo, probe, a)
+        hi[j] = np.where(zero | ~move_lo, probe, b)
+        f_lo[j] = np.where(move_lo, f, fa)
+        f_hi[j] = np.where(move_lo, fb, f)
+        active[j] = unsettled(lo[j], hi[j])
+    found = np.round((lo + hi) / 2.0, CROSSOVER_DECIMALS)
+    return {label: tuple(dict.fromkeys(found[owner == k].tolist())) for k, label in enumerate(differences)}
 
 
 def _theta_columns(theta: np.ndarray, eta: float, zeta: float) -> dict[str, np.ndarray]:
@@ -220,7 +257,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     uncertainty becomes the stronger bound.
 
     The grid is evaluated in blocks of ``_GRID_BLOCK`` points through the
-    kind's column function, and every difference is bisected through it.
+    kind's column function, each block keeping only the CSV columns, and
+    every crossing is refined through the same function.
     """
     if config.kind == "theta":
         columns_of = partial(_theta_columns, eta=config.eta, zeta=config.zeta)
@@ -229,6 +267,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     else:
         columns_of, names, differences = _damping_columns, DAMPING_COLUMNS, {"D_AD-logC": ("D_AD", "logC_numeric")}
     grid = config.grid()
-    blocks = [columns_of(grid[start : start + _GRID_BLOCK]) for start in range(0, grid.size, _GRID_BLOCK)]
-    table = {name: _frozen(np.concatenate([block[name] for block in blocks])) for name in names}
+    table = {name: np.empty(grid.size) for name in names}
+    for start in range(0, grid.size, _GRID_BLOCK):
+        block = columns_of(grid[start : start + _GRID_BLOCK])
+        for name, values in table.items():
+            values[start : start + _GRID_BLOCK] = block[name]
+    table = {name: _frozen(values) for name, values in table.items()}
     return SweepResult(table=table, crossovers=find_crossings(grid, table, differences, columns_of), config=config)

@@ -2,7 +2,8 @@
 
 None of these call ``basis_pair_bounds``: each recomputes its quantity from
 the defining formula, so a test against them does not compare the kernel
-with itself.
+with itself. ``crossing_roots`` is the exception that takes the column
+function as given: it checks the root finding of the sweeps, not the columns.
 """
 
 from itertools import combinations
@@ -98,3 +99,34 @@ def device_uncertainty_qubit(psi, params: QubitPovmParams) -> float:
         population = float(np.abs(np.vdot(vec, psi)) ** 2)
         total += population * binary_entropy(params.conditional_prob_up(sign))
     return total
+
+
+def crossing_roots(xs, table, differences, columns_of, tol=1e-13) -> dict[str, tuple[float, ...]]:
+    """Unrounded roots of the brackets that ``sweeps.find_crossings`` refines.
+
+    A bracket is a pair of adjacent grid points where a difference changes
+    sign strictly; every bracket is bisected until narrower than ``tol``,
+    all of them together, one ``columns_of`` call on their midpoints per
+    halving. A midpoint where the difference is exactly zero is its bracket's
+    root. Each label gets one root per bracket, in grid order.
+    """
+    pairs = list(differences.values())
+
+    def difference_rows(columns):
+        return np.array([columns[minuend] - columns[subtrahend] for minuend, subtrahend in pairs], dtype=float)
+
+    xs, values = np.asarray(xs, dtype=float), difference_rows(table)
+    owner, i = np.nonzero(values[:, :-1] * values[:, 1:] < 0.0)
+    lo, hi, lo_negative = xs[i], xs[i + 1], values[owner, i] < 0.0
+    active = hi - lo > tol
+    while active.any():
+        j = np.flatnonzero(active)
+        mid = (lo[j] + hi[j]) / 2.0
+        f_mid = difference_rows(columns_of(mid))[owner[j], np.arange(j.size)]
+        zero = f_mid == 0.0
+        move_lo = (f_mid < 0.0) == lo_negative[j]
+        lo[j] = np.where(zero | move_lo, mid, lo[j])
+        hi[j] = np.where(zero | ~move_lo, mid, hi[j])
+        active[j] = ~zero & (hi[j] - lo[j] > tol)
+    roots = (lo + hi) / 2.0
+    return {label: tuple(roots[owner == k].tolist()) for k, label in enumerate(differences)}

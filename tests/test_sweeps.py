@@ -1,14 +1,18 @@
 import tracemalloc
+from collections import Counter
+from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
 
+from oracles import crossing_roots
 from unsharp import bounds, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
 from unsharp.povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 from unsharp.uncertainty import f_white_noise, shannon_entropy
 from unsharp.sweeps import (
-    CROSSOVER_TOL,
+    CROSSOVER_DECIMALS,
     DAMPING_COLUMNS,
     MAX_STEPS,
     THETA_COLUMNS,
@@ -148,9 +152,11 @@ class TestDampingSweep:
 
 
 # --- Per-row reference -------------------------------------------------------
-# One grid point per call and one bracket at a time, with scalar bisection:
-# the reference that the stacked grid and bisection must match. Each
-# difference is bisected through the same row function as the grid.
+# One grid point per call and one bracket at a time, with find_crossings' ITP
+# step written for scalars: the reference that the stacked grid and
+# refinement must match. Each difference is refined through the same row
+# function as the grid. Plain bisection with the same stop is the reference
+# for the results and call counts of the refinement.
 
 
 def reference_theta_row(theta, eta, zeta):
@@ -177,26 +183,72 @@ def reference_damping_row(e):
     )
 
 
-def reference_bisect(diff, lo, hi, tol=CROSSOVER_TOL):
-    f_lo = diff(lo)
-    while hi - lo > tol:
+def rounded(x):
+    return np.round(x, CROSSOVER_DECIMALS)
+
+
+def unsettled(lo, hi):
+    return rounded(lo) != rounded(hi) and hi - lo > sweeps._WIDTH_FLOOR
+
+
+def reference_bisect(diff, lo, hi):
+    """Plain bisection of one bracket, stopped as find_crossings stops:
+    the crossing it reports and its number of diff calls after the grid."""
+    f_lo, calls = diff(lo), 0
+    while unsettled(lo, hi):
         mid = (lo + hi) / 2.0
         f_mid = diff(mid)
+        calls += 1
         if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
+            lo = hi = mid
+        elif (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return float(rounded((lo + hi) / 2.0)), calls
 
 
-def reference_crossings(xs, values, diff, tol=CROSSOVER_TOL):
-    found = []
-    for i in range(len(xs) - 1):
-        if float(values[i]) * float(values[i + 1]) < 0.0:
-            found.append(round(reference_bisect(diff, float(xs[i]), float(xs[i + 1]), tol), 4))
-    return tuple(dict.fromkeys(found))
+def reference_itp(diff, lo, hi):
+    """find_crossings' refinement of one bracket, one scalar probe per call:
+    the crossing it reports and its number of diff calls after the grid."""
+    f_lo, f_hi, calls = diff(lo), diff(hi), 0
+    k1, budget = sweeps._ITP_K1 / (hi - lo), hi - lo
+    while unsettled(lo, hi):
+        mid, width = (lo + hi) / 2.0, hi - lo
+        falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        toward = np.sign(mid - falsi)
+        delta = k1 * (width * width)
+        probe = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+        radius = max(budget - width / 2.0, 0.0)
+        probe = probe if abs(probe - mid) <= radius else mid - toward * radius
+        budget /= 2.0
+        f = diff(probe)
+        calls += 1
+        if f == 0.0:
+            lo = hi = probe
+        elif (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = probe, f
+        else:
+            hi, f_hi = probe, f
+    return float(rounded((lo + hi) / 2.0)), calls
+
+
+def reference_brackets(xs, values, diff, refine=reference_bisect):
+    """refine every bracket: {grid index: (crossing, calls)}."""
+    return {
+        i: refine(diff, float(xs[i]), float(xs[i + 1]))
+        for i in range(len(xs) - 1)
+        if float(values[i]) * float(values[i + 1]) < 0.0
+    }
+
+
+def reference_crossings(xs, values, diff, refine=reference_bisect):
+    return tuple(dict.fromkeys(found for found, _ in reference_brackets(xs, values, diff, refine).values()))
+
+
+def correctly_rounded(roots):
+    """Each label's roots rounded, in grid order, without duplicates."""
+    return {label: tuple(dict.fromkeys(round(x, CROSSOVER_DECIMALS) for x in found)) for label, found in roots.items()}
 
 
 def reference_sweep(config, row, columns, differences):
@@ -209,7 +261,7 @@ def reference_sweep(config, row, columns, differences):
             values = dict(zip(columns, row(x)))
             return values[minuend] - values[subtrahend]
 
-        return reference_crossings(grid, table[minuend] - table[subtrahend], diff)
+        return reference_crossings(grid, table[minuend] - table[subtrahend], diff, reference_itp)
 
     return rows, {label: crossings(*pair) for label, pair in differences.items()}
 
@@ -218,7 +270,7 @@ THETA_DIFFERENCES = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN
 
 
 def one_difference(xs, f, calls=None):
-    """find_crossings for the single difference f(x) - 0; each bisection
+    """find_crossings for the single difference f(x) - 0; each refinement
     call's points are appended to calls."""
 
     def columns_of(x):
@@ -230,12 +282,42 @@ def one_difference(xs, f, calls=None):
     return find_crossings(xs, table, {"f": ("f", "zero")}, columns_of)["f"]
 
 
+def calls_per_bracket(xs, calls):
+    """{grid index i: calls that probed (xs[i], xs[i + 1])}, checking that no
+    call probes one interval twice."""
+    counts = Counter()
+    for points in calls:
+        intervals = (np.searchsorted(xs, points, side="right") - 1).tolist()
+        assert len(set(intervals)) == len(intervals)
+        counts.update(intervals)
+    return counts
+
+
+def sin3(x):
+    return np.sin(3.0 * x)
+
+
+def assert_refines_like_bisection(xs, f):
+    """find_crossings of f(x) - 0 reports what plain bisection with the same
+    stop reports, in at most one call more per bracket, every open bracket
+    refined in each call. Returns the crossings."""
+    calls = []
+    found = one_difference(xs, f, calls)
+    brackets = reference_brackets(xs, f(xs), f)
+    assert found == reference_crossings(xs, f(xs), f)
+    counts = calls_per_bracket(xs, calls)
+    assert set(counts) <= set(brackets)
+    for i, (_, bisection_calls) in brackets.items():
+        assert counts[i] <= bisection_calls + 1
+    assert calls[0].shape == (len(brackets),)
+    assert len(calls) == max(counts.values())
+    return found
+
+
 class TestFindCrossings:
     def test_single_linear_crossing(self):
         xs = np.linspace(0.0, 1.0, 11)
-        crossings = one_difference(xs, lambda x: x - 0.37)
-        assert len(crossings) == 1
-        assert abs(crossings[0] - 0.37) < 1e-3
+        assert one_difference(xs, lambda x: x - 0.37) == (0.37,)
 
     def test_zero_endpoint_is_not_a_crossing(self):
         xs = np.linspace(0.0, 1.0, 11)
@@ -243,35 +325,41 @@ class TestFindCrossings:
         assert one_difference(xs, lambda x: np.where(x == 0.0, 0.0, 1.0), calls) == ()
         assert calls == []
 
-    @pytest.mark.parametrize("steps", [7, 10, 31, 100])
+    @pytest.mark.parametrize("steps", [7, 10, 31, 100, 181])
     def test_several_roots_match_scalar_bisection(self, steps):
         xs = np.linspace(0.0, np.pi, steps)
-        calls = []
-        found = one_difference(xs, lambda x: np.sin(3.0 * x), calls)
-        assert found == reference_crossings(xs, np.sin(3.0 * xs), lambda x: np.sin(3.0 * x))
-        assert len(found) == 2
-        np.testing.assert_allclose(found, [np.pi / 3, 2 * np.pi / 3], atol=1e-4)
-        # Every bracket is bisected in each call: one call per halving, not per bracket.
-        assert calls[0].shape == (2,)
-        assert len(calls) == int(np.ceil(np.log2((xs[1] - xs[0]) / CROSSOVER_TOL)))
+        assert assert_refines_like_bisection(xs, sin3) == (1.0472, 2.0944)
+
+    @pytest.mark.parametrize(
+        "f, root",
+        [
+            (lambda x: np.cbrt(x - 0.37), 0.37),
+            (lambda x: np.tanh(50.0 * (x - 0.41234)), 0.4123),
+            # Interpolation alone takes about 950 calls on this triple root.
+            (lambda x: (x - 0.37) ** 3, 0.37),
+        ],
+        ids=["cbrt", "tanh", "cube"],
+    )
+    def test_infinite_steep_and_flat_slopes(self, f, root):
+        assert assert_refines_like_bisection(np.linspace(0.0, 1.0, 11), f) == (root,)
 
     def test_exact_zero_midpoint_ends_its_bracket(self):
         xs = np.array([0.0, 0.25, 0.75, 1.0])
 
         def f(x):
-            return (x - 0.5) * (x - 0.8125)
+            # Linear on [0.25, 0.75], whose first probe is its midpoint and root 0.5.
+            return np.where(x <= 0.75, x - 0.5, 0.8 - x**2)
 
         calls = []
         found = one_difference(xs, f, calls)
-        assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8125)
-        # The first bracket ends at its first midpoint; the second at its second.
-        np.testing.assert_array_equal(calls[0], [0.5, 0.875])
-        np.testing.assert_array_equal(calls[1], [0.8125])
-        assert len(calls) == 2
+        assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8944)
+        # The first bracket ends at its first probe; the second goes on alone.
+        assert calls[0].shape == (2,) and calls[0][0] == 0.5
+        assert len(calls) > 1 and all(points.shape == (1,) for points in calls[1:])
 
     def test_differences_share_each_call(self):
         xs = np.linspace(0.0, np.pi, 31)
-        functions = {"s3": lambda x: np.sin(3.0 * x), "c2": lambda x: np.cos(2.0 * x), "one": np.ones_like}
+        functions = {"s3": sin3, "c2": lambda x: np.cos(2.0 * x), "one": np.ones_like}
         calls = []
 
         def columns_of(x):
@@ -286,13 +374,13 @@ class TestFindCrossings:
         assert found["c2"] == reference_crossings(xs, -table["c2"], lambda x: -functions["c2"](x))
         assert found["flat"] == ()
         assert len(found["s3"]) == len(found["c2"]) == 2
-        # One call per halving for all four brackets of both crossing differences.
+        # The four brackets of both crossing differences share every call.
         assert calls[0].shape == (4,)
-        assert len(calls) == int(np.ceil(np.log2((xs[1] - xs[0]) / CROSSOVER_TOL)))
+        assert len(calls) == max(calls_per_bracket(xs, calls).values())
 
 
 class TestAgainstRowReference:
-    """The stacked grid and bisection reproduce the per-row reference."""
+    """The stacked grid and refinement reproduce the per-row reference."""
 
     @pytest.mark.parametrize("eta, zeta", [(1.0, 1.0), (0.8, 0.9), (0.3, 0.7), (0.5, 0.2), (0.0, 1.0), (1.0, 0.0)])
     def test_theta_sweep(self, eta, zeta):
@@ -324,10 +412,40 @@ class TestAgainstRowReference:
         assert [list(column) for column in zip(*cells)] == expected
 
 
+NOISE_GRID = sorted(set(product((0.0, 0.3, 0.8, 1.0), (0.0, 0.6, 0.9, 1.0))))
+
+
+class TestCorrectlyRounded:
+    """Every crossover is its root, found by bisection to 1e-13 through the
+    same column function, rounded to CROSSOVER_DECIMALS decimals."""
+
+    @pytest.mark.parametrize("eta, zeta", NOISE_GRID)
+    def test_theta_sweep(self, eta, zeta):
+        config = theta_config(eta, zeta, steps=181)
+        result = run_sweep(config)
+        columns_of = partial(sweeps._theta_columns, eta=eta, zeta=zeta)
+        roots = crossing_roots(config.grid(), result.table, THETA_DIFFERENCES, columns_of)
+        crossovers, expected = dict(result.crossovers), correctly_rounded(roots)
+        if (eta, zeta) == (1.0, 0.0):
+            # Here D_WN and -log2 C both equal 1 bit at every angle, so
+            # D_WN - logC is roundoff that changes sign all over its grid
+            # bracket: it has no root to round.
+            assert np.abs(result.table["D_WN"] - result.table["logC"]).max() < 1e-15
+            assert len(crossovers.pop("D_WN-logC")) == len(expected.pop("D_WN-logC")) == 1
+        assert crossovers == expected
+
+    def test_damping_sweep(self):
+        config = damping_config(steps=101)
+        result = run_sweep(config)
+        differences = {"D_AD-logC": ("D_AD", "logC_numeric")}
+        roots = crossing_roots(config.grid(), result.table, differences, sweeps._damping_columns)
+        assert result.crossovers == correctly_rounded(roots) == {"D_AD-logC": (0.564,)}
+
+
 class TestNoPhantomCrossing:
     """With one noise level 0, D_WN - B1 = 1 - mu touches zero at pi/2 only.
 
-    Grid and bisection compute B1 by one formula, so roundoff at pi/2 cannot
+    Grid and refinement compute B1 by one formula, so roundoff at pi/2 cannot
     put a crossing a whole grid step away from it.
     """
 
@@ -352,7 +470,7 @@ def _count_calls(monkeypatch, module, name, counts, shapes=None):
 
 class TestSweepWork:
     """The grid is one call of the sweep's column function per block of
-    grid points, and each bisection step is one stacked call of it for every
+    grid points, and each refinement step is one stacked call of it for every
     open bracket of every difference."""
 
     @pytest.fixture
@@ -386,32 +504,38 @@ class TestSweepWork:
         counts, shapes, searches = work
         steps = 181
         result = run_sweep(theta_config(0.8, 0.9, steps=steps))
-        ((bisection, delta, found),) = searches
+        ((refinement, delta, found),) = searches
         assert found == result.crossovers
         assert all(len(points) == 2 for points in found.values())
         # One grid call over all 181 angles, no call per grid row.
         assert shapes[0] == (steps,)
-        # Bisection halves every bracket of every difference per call: the step
-        # count is the number of halvings of one grid interval, whatever the
-        # number of brackets or differences.
-        halvings = int(np.ceil(np.log2((np.pi / (steps - 1)) / CROSSOVER_TOL)))
-        assert halvings == 8
-        assert bisection[0] == (6,)
-        assert len(bisection) == halvings
-        assert counts["_theta_columns"] == 1 + halvings == 9
-        assert counts["_majorization"] == counts["coles_bound"] == 1 + halvings
-        assert delta["_majorization"] == delta["coles_bound"] == halvings
+        # Each call refines every open bracket of every difference; all six
+        # are correctly rounded within 6 calls.
+        assert refinement[0] == (6,)
+        assert len(refinement) <= 6
+        assert counts["_theta_columns"] == 1 + len(refinement)
+        assert counts["_majorization"] == counts["coles_bound"] == 1 + len(refinement)
+        assert delta["_majorization"] == delta["coles_bound"] == len(refinement)
+
+    def test_sharp_theta_sweep(self, work):
+        _, _, searches = work
+        result = run_sweep(theta_config(1.0, 1.0, steps=181))
+        ((refinement, _, found),) = searches
+        assert found == result.crossovers
+        assert refinement[0] == (len(found["B2-B1"]),) == (2,)
+        assert len(refinement) <= 6
 
     def test_damping_sweep(self, work):
         counts, shapes, searches = work
-        steps = 41
+        steps = 101
         result = run_sweep(damping_config(steps=steps))
-        ((bisection, delta, found),) = searches
+        ((refinement, delta, found),) = searches
         assert found == result.crossovers
         assert found["D_AD-logC"] != ()
         assert shapes[0] == (steps,)
-        assert counts["_damping_columns"] == 1 + len(bisection)
-        assert delta["_damping_columns"] == delta["coles_bound"] == len(bisection)
+        assert len(refinement) <= 4
+        assert counts["_damping_columns"] == 1 + len(refinement)
+        assert delta["_damping_columns"] == delta["coles_bound"] == len(refinement)
 
     def test_grid_in_blocks(self, work, monkeypatch):
         _, shapes, searches = work
@@ -420,7 +544,7 @@ class TestSweepWork:
         shapes.clear()
         monkeypatch.setattr(sweeps, "_GRID_BLOCK", 7)
         blocked = run_sweep(theta_config(0.3, 0.7, steps=61))
-        # 61 points in blocks of 7, then the bisection calls.
+        # 61 points in blocks of 7, then the refinement calls.
         assert shapes == [(7,)] * 8 + [(5,)] + searches[-1][0]
         assert list(blocked.table) == list(whole.table)
         for name, values in whole.table.items():
@@ -431,6 +555,18 @@ class TestSweepWork:
 
 
 class TestCsvMemory:
+    def test_run_sweep_holds_only_its_table(self):
+        # Each block keeps only the CSV columns, filled into the table in place:
+        # the traced peak stays under twice the table that run_sweep returns.
+        config = theta_config(0.8, 0.9, steps=20_001)
+        tracemalloc.start()
+        try:
+            result = run_sweep(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(values.nbytes for values in result.table.values())
+
     def test_write_csv_streams(self, tmp_path):
         # Writing holds one block of formatted rows, not the whole file's text:
         # the traced peak counts only what write_csv allocates above the result.
