@@ -37,12 +37,30 @@ from .uncertainty import (
 # The majorization vector takes the largest singular value of every
 # submatrix U[R, S] of the d x d overlap matrix with |R| + |S| <= d, using
 # ||P_R + P_S|| = 1 + sigma_max(U[R, S]) (principal angles): O(4^d) top
-# eigenvalues of Gram matrices of size at most d/2, batched per (|R|, |S|),
-# closed-form up to size 2 and from eigvalsh above. On one pinned core of a
-# 2-vCPU Xeon VM that is about 6-7 ms at d = 7 and 30-40 ms at d = 8, growing
-# about 5x per dimension; d = 9 (about 200 ms) would cost more than d = 8 did
-# by SVD (about 150 ms), and desk scale ends well before this guard.
+# eigenvalues of Gram matrices of size at most d/2, batched per (|R|, |S|).
+# Sizes 1 and 2 are in closed form, size 3 is screened (below) and size 4, at
+# d = 8 only, goes to eigvalsh. On one pinned core of a 2-vCPU Xeon VM that is
+# about 0.3 ms at d = 6, 0.8-2 ms at d = 7 and 11-13 ms at d = 8 (0.4, 3.5-6
+# and 35-37 ms with eigvalsh on every size-3 block); d = 9 would take about
+# 90-120 ms, and desk scale ends well before this guard.
 MAX_MAJORIZATION_DIM = 8
+# Size-3 Gram blocks are screened: every top eigenvalue is first evaluated in
+# closed form, and only the blocks within _SCREEN_MARGIN of their class maximum
+# are solved again by eigvalsh. The eigenvalues lie in [0, 1 + O(1e-8)]; the
+# closed form's error peaks at a double top eigenvalue, where the arccos of the
+# cubic's cosine is steepest, so that an error of a few eps in the cosine
+# becomes one of order sqrt(eps). Measured, it was at most 9.5e-9 over 210 000
+# adversarial Grams (double, triple and near-double tops, rank 1, zero). The
+# block of the exact class maximum lies within twice that error of the
+# closed-form maximum, so any margin above 2e-8 keeps it; this one leaves a
+# factor 50, and the maximum of the exact values is the one eigvalsh on every
+# block gives.
+_SCREEN_MARGIN = 1e-6
+# Each w_k = 1 + sqrt(lambda) carries the roundoff of its Gram sums and of
+# eigvalsh, a few eps, so an increment of w whose exact value is 0 comes out as
+# an ulp of 2 or so (4.4e-16 on the d = 6 and d = 8 Fourier pairs); W takes
+# increments at or below 4 ulps of 2 (1.8e-15) as 0.
+_INCREMENT_FLOOR = 4 * np.spacing(2.0)
 
 
 def _neg_log2(c):
@@ -168,25 +186,68 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     always matches, and when |R| + |S| > d the spans intersect, so w_d = 2
     exactly. sigma_max^2 is the top eigenvalue of the Gram matrix of the
     block's shorter side: a squared Euclidean norm for one row or column, a
-    closed form for two, eigvalsh for three or more. When |R| + |S| = d,
-    U[R, S] and U[R^c, S^c] share their singular values (CS decomposition;
-    Paige & Wei, Linear Algebra Appl. 208/209, 1994), so only one block of
-    each such pair is evaluated. The cost is O(4^d) eigenvalue problems of
-    size at most d/2, batched per size pair (|R|, |S|); stacks of bases
-    (..., d, d) broadcast and enlarge each batch.
+    closed form for two, and for three a closed form (the trigonometric
+    solution of the characteristic cubic) that screens the blocks, eigvalsh
+    then solving only those within _SCREEN_MARGIN of the largest; eigvalsh
+    for four (d = 8). When |R| + |S| = d, U[R, S] and U[R^c, S^c] share their
+    singular values (CS decomposition; Paige & Wei, Linear Algebra Appl.
+    208/209, 1994), so only one block of each such pair is evaluated. The
+    cost is O(4^d) eigenvalue problems of size at most d/2, batched per size
+    pair (|R|, |S|): on one core about 0.3 ms at d = 6, 1-2 ms at d = 7 and
+    11-13 ms at d = 8. Stacks of bases (..., d, d) broadcast and enlarge each
+    batch. Increments of w at or below a few ulps of 2, the roundoff of an
+    exactly zero one, enter W as 0.
     """
     return _majorization(_overlaps(basis_a, basis_b))
 
 
 def _top_gram_eigenvalue(gram: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of Hermitian PSD (..., m, m, n) Gram matrices (n along the last axis)."""
+    """Largest top eigenvalue among the Hermitian PSD (..., R, m, m, S) Gram
+    matrices of each stack item (m x m along axes -3, -2): (...,)."""
     m = gram.shape[-2]
     if m == 1:
-        return gram[..., 0, 0, :].real
-    if m == 2:
+        top = gram[..., 0, 0, :].real
+    elif m == 2:
         a, c, b = gram[..., 0, 0, :].real, gram[..., 1, 1, :].real, gram[..., 0, 1, :]
-        return (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + (b.real**2 + b.imag**2))
-    return np.linalg.eigvalsh(np.moveaxis(gram, -1, -3))[..., -1]
+        top = (a + c) / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + (b.real**2 + b.imag**2))
+    elif m == 3:
+        return _screened_top(gram)
+    else:
+        top = np.linalg.eigvalsh(np.moveaxis(gram, -1, -3))[..., -1]
+    return top.max(axis=(-2, -1))
+
+
+def _cubic_top_eigenvalue(gram: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of Hermitian (..., 3, 3, n) matrices, (..., n), by the
+    trigonometric solution of the characteristic cubic (Smith, Commun. ACM
+    4(4), 168, 1961); reads the lower triangle, as eigvalsh does."""
+    a, b, c = (gram[..., i, i, :].real for i in range(3))
+    x, y, z = gram[..., 1, 0, :], gram[..., 2, 1, :], gram[..., 2, 0, :]
+    xx, yy, zz = (v.real**2 + v.imag**2 for v in (x, y, z))
+    q = (a + b + c) / 3.0
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (xx + yy + zz)) / 6.0)
+    # det(G - qI) / 2 and its cosine r = det / (2 p^3) in [-1, 1]; p = 0 is a multiple of I.
+    half_det = (a * b * c - a * yy - b * zz - c * xx) / 2.0 + ((x * y).conj() * z).real
+    p3 = p**3
+    r = np.clip(np.divide(half_det, p3, out=np.zeros_like(p3), where=p3 > 0.0), -1.0, 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+
+
+def _screened_top(gram: np.ndarray) -> np.ndarray:
+    """``_top_gram_eigenvalue`` for m = 3: every block in closed form, then
+    eigvalsh on only the blocks within _SCREEN_MARGIN of their item's
+    closed-form maximum. The result is the largest of those exact values,
+    the same number eigvalsh on every block gives."""
+    rows, cols = gram.shape[-4], gram.shape[-1]
+    closed = _cubic_top_eigenvalue(gram).reshape(-1, rows * cols)
+    keep = closed >= closed.max(axis=-1, keepdims=True) - _SCREEN_MARGIN
+    item, block = np.nonzero(keep)
+    r, s = np.divmod(block, cols)
+    exact = np.linalg.eigvalsh(gram.reshape((-1,) + gram.shape[-4:])[item, r, :, :, s])[:, -1]
+    # nonzero lists the kept blocks item by item, and every item keeps its maximum.
+    starts = np.flatnonzero(np.diff(item, prepend=-1))
+    return np.maximum.reduceat(exact, starts).reshape(gram.shape[:-4])
 
 
 @functools.cache
@@ -230,14 +291,15 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
             for l in longs:
                 # The Gram matrix of every U[R, S] with |S| = l: (..., R, m, m, S).
                 gram = (flat @ indicators[l].T).reshape(per_column.shape[:-1] + (-1,))
-                sigma = np.sqrt(_top_gram_eigenvalue(gram).max(axis=(-2, -1)))
+                sigma = np.sqrt(_top_gram_eigenvalue(gram))
                 k = m + l - 1
                 top[..., k - 1] = np.maximum(top[..., k - 1], sigma)
     top[..., d - 1] = 1.0
     w = 1.0 + top
 
     increments = np.diff(w, axis=-1, prepend=1.0)
-    big_w = np.concatenate([np.clip(increments, 0.0, None), np.zeros(w.shape[:-1] + (d - 1,))], axis=-1)
+    increments[increments <= _INCREMENT_FLOOR] = 0.0
+    big_w = np.concatenate([increments, np.zeros(w.shape[:-1] + (d - 1,))], axis=-1)
     return MajorizationVector(w=w, W=big_w)
 
 

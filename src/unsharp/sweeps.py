@@ -28,6 +28,17 @@ CROSSOVER_DECIMALS = 4
 # A bracket this narrow stops even if its ends round apart: its root lies on a
 # rounding boundary, to within this width.
 _WIDTH_FLOOR = 1e-12
+# Two bounds that coincide exactly, such as D_WN and -log2 C at eta = 1,
+# zeta = 0, leave a difference that is pure roundoff and may change sign
+# anywhere. Each column is a bound of a few bits from a short chain of
+# eigvalsh, log2 and entropy sums, correct to a few eps of its magnitude; with
+# up to 8 eps per column, such a difference stays within 16 eps of the larger
+# column. A bracket whose two ends both lie within that is dropped: a real
+# crossing there would be indistinguishable from roundoff at both grid points.
+# Over the 121 theta sweeps with eta, zeta in {0.0, ..., 1.0}^2 and the damping
+# sweep, the one such bracket reads 1.5 eps at its larger end, every other one
+# above 1e12 eps.
+_ROUNDOFF_REL = 16 * np.finfo(float).eps
 # ITP truncation coefficient, in units of 1 / (grid interval).
 _ITP_K1 = 0.01
 # Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
@@ -162,11 +173,12 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     ``columns_of`` computes them at an array of points. Every pair of adjacent
     grid points where a difference changes sign is a bracket; grid points
     where the difference is exactly zero (degenerate equalities at grid
-    endpoints) are not crossings. The brackets of all differences are refined
-    together by ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020), starting
-    from the values in ``table``: each step is one ``columns_of`` call on one
-    probe point per open bracket, and each bracket reads its own difference
-    from the result.
+    endpoints) are not crossings, nor are brackets whose ends both differ by
+    roundoff only (within ``_ROUNDOFF_REL`` of the larger column). The
+    brackets of all differences are refined together by ITP (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020), starting from the values in ``table``:
+    each step is one ``columns_of`` call on one probe point per open
+    bracket, and each bracket reads its own difference from the result.
 
     A bracket stops when both of its ends round to the same value, which it
     reports. It also stops when a probe's difference is exactly zero,
@@ -186,7 +198,8 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     def brackets(k, minuend, subtrahend):
         # One difference at a time, so the grid-sized temporaries are one column's.
         values = table[minuend] - table[subtrahend]
-        i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        roundoff = np.abs(values) <= _ROUNDOFF_REL * np.maximum(np.abs(table[minuend]), np.abs(table[subtrahend]))
+        i = np.flatnonzero((values[:-1] * values[1:] < 0.0) & ~(roundoff[:-1] & roundoff[1:]))
         return np.full(i.size, k), xs[i], xs[i + 1], values[i], values[i + 1]
 
     def unsettled(lo, hi) -> np.ndarray:

@@ -314,6 +314,64 @@ class TestMajorizationVector:
         with pytest.raises(ValueError):
             majorization_vector(np.eye(9), np.eye(9))
 
+    @pytest.mark.parametrize("d", range(2, MAX_MAJORIZATION_DIM + 1))
+    def test_no_roundoff_sized_increments(self, d):
+        # Fourier pairs reach w = 2 before w_d; the exactly zero increments
+        # after it must not enter W as an ulp of 2 (4.4e-16 at d = 6 and 8).
+        basis_x, basis_z = mub_fourier_basis(d)
+        pvm_x, pvm_z = (bounds._pvm_basis(projective_from_basis(basis)) for basis in (basis_x, basis_z))
+        for mv in (majorization_vector(basis_x, basis_z), majorization_vector(pvm_x, pvm_z)):
+            assert not np.any((mv.W > 0.0) & (mv.W < 1e-12))
+
+
+def adversarial_grams(rng, n):
+    """(7n, 3, 3) Hermitian PSD matrices with spectra in [0, 1]: double,
+    near-double (relative gaps 1e-16 to 1e-4), triple and double-1 top
+    eigenvalues, rank 1, generic spectra, and one zero matrix."""
+    top, gap = rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-16.0, -4.0, n)
+    low, ones, zeros = rng.uniform(0.0, 1.0, n) * top, np.ones(n), np.zeros(n)
+    spectra = [(low, top, top), (low, top * (1.0 - gap), top), (top, top, top), (low, ones, ones), (zeros, zeros, top)]
+    spectra = np.concatenate([np.stack(s, axis=-1) for s in spectra] + [rng.uniform(0.0, 1.0, (2 * n, 3))])
+    spectra[-1] = 0.0
+    v = random_basis(3, rng, size=len(spectra))
+    return np.einsum("nji,nj,njk->nik", v.conj(), spectra, v)
+
+
+class TestScreenedGramBlocks:
+    """Size-3 Gram blocks (d >= 6): closed form for all, eigvalsh for the near-maximal ones."""
+
+    def test_closed_form_within_a_hundredth_of_the_margin(self):
+        grams = adversarial_grams(np.random.default_rng(61), 3000)
+        closed = bounds._cubic_top_eigenvalue(np.moveaxis(grams, 0, -1))
+        exact = np.linalg.eigvalsh(grams)[:, -1]
+        assert np.abs(closed - exact).max() <= bounds._SCREEN_MARGIN / 100
+
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    def test_screen_equals_eigvalsh_on_every_block(self, d, monkeypatch):
+        rng = np.random.default_rng(60 + d)
+        pairs = [(random_basis(d, rng), random_basis(d, rng)) for _ in range(2)]
+        pairs += [mub_fourier_basis(d), (np.eye(d), np.eye(d)), (np.eye(d), np.eye(d)[rng.permutation(d)])]
+        stack_a, stack_b = (np.stack(bases) for bases in zip(*pairs))
+        screened = [majorization_vector(a, b) for a, b in pairs + [(stack_a, stack_b)]]
+        monkeypatch.setattr(bounds, "_SCREEN_MARGIN", np.inf)
+        for (a, b), mv in zip(pairs + [(stack_a, stack_b)], screened):
+            every_block = majorization_vector(a, b)
+            assert np.array_equal(mv.w, every_block.w) and np.array_equal(mv.W, every_block.W)
+
+    def test_few_blocks_solved_exactly(self, monkeypatch):
+        real, solved = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            solved.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rng = np.random.default_rng(67)
+        majorization_vector(random_basis(7, rng), random_basis(7, rng))
+        # Two classes of 35 x 35 size-3 blocks at d = 7, and no other size.
+        assert solved and all(shape[-2:] == (3, 3) for shape in solved)
+        assert sum(int(np.prod(shape[:-2])) for shape in solved) < 0.1 * 2 * 35 * 35
+
 
 class TestHwBound:
     def test_half_half(self, monkeypatch):

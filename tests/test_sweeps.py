@@ -233,17 +233,23 @@ def reference_itp(diff, lo, hi):
     return float(rounded((lo + hi) / 2.0)), calls
 
 
-def reference_brackets(xs, values, diff, refine=reference_bisect):
-    """refine every bracket: {grid index: (crossing, calls)}."""
+def reference_brackets(xs, values, diff, refine=reference_bisect, scale=None):
+    """refine every bracket: {grid index: (crossing, calls)}. Given the larger
+    column magnitude at each grid point, ``scale``, a bracket whose ends both
+    differ by roundoff only is skipped."""
+
+    def roundoff(i):
+        return scale is not None and abs(float(values[i])) <= sweeps._ROUNDOFF_REL * float(scale[i])
+
     return {
         i: refine(diff, float(xs[i]), float(xs[i + 1]))
         for i in range(len(xs) - 1)
-        if float(values[i]) * float(values[i + 1]) < 0.0
+        if float(values[i]) * float(values[i + 1]) < 0.0 and not (roundoff(i) and roundoff(i + 1))
     }
 
 
-def reference_crossings(xs, values, diff, refine=reference_bisect):
-    return tuple(dict.fromkeys(found for found, _ in reference_brackets(xs, values, diff, refine).values()))
+def reference_crossings(xs, values, diff, refine=reference_bisect, scale=None):
+    return tuple(dict.fromkeys(found for found, _ in reference_brackets(xs, values, diff, refine, scale).values()))
 
 
 def correctly_rounded(roots):
@@ -261,7 +267,8 @@ def reference_sweep(config, row, columns, differences):
             values = dict(zip(columns, row(x)))
             return values[minuend] - values[subtrahend]
 
-        return reference_crossings(grid, table[minuend] - table[subtrahend], diff, reference_itp)
+        scale = np.maximum(np.abs(table[minuend]), np.abs(table[subtrahend]))
+        return reference_crossings(grid, table[minuend] - table[subtrahend], diff, reference_itp, scale)
 
     return rows, {label: crossings(*pair) for label, pair in differences.items()}
 
@@ -357,6 +364,26 @@ class TestFindCrossings:
         assert calls[0].shape == (2,) and calls[0][0] == 0.5
         assert len(calls) > 1 and all(points.shape == (1,) for points in calls[1:])
 
+    def test_roundoff_difference_is_not_a_crossing(self):
+        # Two columns equal up to an ulp or two: their difference changes
+        # sign on every grid interval, but is roundoff, not a root.
+        xs = np.linspace(0.0, 1.0, 11)
+        wobble = np.where(np.arange(11) % 2 == 0, 1.0 + 2.0**-51, 1.0 - 2.0**-52)
+        calls = []
+        table = {"a": wobble, "b": np.ones(11)}
+        assert find_crossings(xs, table, {"a-b": ("a", "b")}, calls.append) == {"a-b": ()}
+        assert calls == []
+
+    def test_tiny_difference_beyond_roundoff_is_a_crossing(self):
+        # A difference of 1e-9 (x - 0.37) between two columns of about 1 lies
+        # far below the columns but far above their roundoff.
+        xs = np.linspace(0.0, 1.0, 11)
+
+        def columns_of(x):
+            return {"a": 1.0 + 1e-9 * (x - 0.37), "b": np.ones(np.shape(x))}
+
+        assert find_crossings(xs, columns_of(xs), {"a-b": ("a", "b")}, columns_of) == {"a-b": (0.37,)}
+
     def test_differences_share_each_call(self):
         xs = np.linspace(0.0, np.pi, 31)
         functions = {"s3": sin3, "c2": lambda x: np.cos(2.0 * x), "one": np.ones_like}
@@ -428,10 +455,11 @@ class TestCorrectlyRounded:
         crossovers, expected = dict(result.crossovers), correctly_rounded(roots)
         if (eta, zeta) == (1.0, 0.0):
             # Here D_WN and -log2 C both equal 1 bit at every angle, so
-            # D_WN - logC is roundoff that changes sign all over its grid
-            # bracket: it has no root to round.
+            # D_WN - logC is roundoff: it has no root, and the one grid sign
+            # change that the oracle bisects is not a crossing.
             assert np.abs(result.table["D_WN"] - result.table["logC"]).max() < 1e-15
-            assert len(crossovers.pop("D_WN-logC")) == len(expected.pop("D_WN-logC")) == 1
+            assert crossovers.pop("D_WN-logC") == ()
+            expected.pop("D_WN-logC")
         assert crossovers == expected
 
     def test_damping_sweep(self):
@@ -448,6 +476,10 @@ class TestNoPhantomCrossing:
     Grid and refinement compute B1 by one formula, so roundoff at pi/2 cannot
     put a crossing a whole grid step away from it.
     """
+
+    def test_coinciding_bounds_do_not_cross(self):
+        # At eta = 1, zeta = 0, D_WN and -log2 C both equal 1 bit at every angle.
+        assert run_sweep(theta_config(1.0, 0.0, steps=181)).crossovers["D_WN-logC"] == ()
 
     @pytest.mark.parametrize("eta, zeta", [(0.0, 1.0), (1.0, 0.0)])
     def test_d_wn_b1_crossings_at_right_angle(self, eta, zeta):
