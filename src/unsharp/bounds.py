@@ -25,12 +25,12 @@ from .errors import DimensionMismatch
 from .linalg import TOL_PROJECTIVE, DensityMatrix, _frozen, float_or_array, require_orthonormal, require_unit_interval
 from .povm import Povm, require_same_dim
 from .uncertainty import (
+    _expectation,
+    _state_matrix,
     _white_noise_kernel,
-    device_uncertainty,
     device_uncertainty_operator,
     entropy_term,
     outcome_probs,
-    quantum_uncertainty,
     shannon_entropy,
 )
 
@@ -79,9 +79,13 @@ def krishna_bound(povm: Povm):
     return float_or_array(-np.log2(top) + 0.0)
 
 
+def _lowest_eigenvalue(m: np.ndarray):
+    return float_or_array(np.linalg.eigvalsh(m)[..., 0])
+
+
 def min_device_uncertainty(povm: Povm):
     """Device uncertainty minimized over all states (lowest eigenvalue)."""
-    return float_or_array(np.linalg.eigvalsh(device_uncertainty_operator(povm))[..., 0])
+    return _lowest_eigenvalue(device_uncertainty_operator(povm))
 
 
 def min_pair_device_bound(a: Povm, b: Povm):
@@ -92,8 +96,7 @@ def min_pair_device_bound(a: Povm, b: Povm):
     a pure state.
     """
     require_same_dim(a, b)
-    m = device_uncertainty_operator(a) + device_uncertainty_operator(b)
-    return float_or_array(np.linalg.eigvalsh(m)[..., 0])
+    return _lowest_eigenvalue(device_uncertainty_operator(a) + device_uncertainty_operator(b))
 
 
 def device_uncertainty_white_noise(alpha, d: int):
@@ -136,10 +139,9 @@ def coles_bound(a: Povm, b: Povm):
     return _neg_log2(np.minimum(_sandwiched_max(a, b), _sandwiched_max(b, a)))
 
 
-def _overlaps(basis_a, basis_b) -> np.ndarray:
-    """Overlap matrices U[..., i, j] = <a_i|b_j> of two validated (stacks of) bases."""
-    basis_a = require_orthonormal(basis_a)
-    basis_b = require_orthonormal(basis_b)
+def _overlaps(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
+    """Overlap matrices U[..., i, j] = <a_i|b_j> of two (stacks of) bases,
+    whose orthonormality the caller has checked or holds by construction."""
     if basis_a.shape[-1] != basis_b.shape[-1]:
         raise DimensionMismatch(f"basis dimensions differ: {basis_a.shape[-1]} vs {basis_b.shape[-1]}")
     return basis_a.conj() @ basis_b.swapaxes(-1, -2)
@@ -198,7 +200,7 @@ def majorization_vector(basis_a, basis_b) -> MajorizationVector:
     batch. Increments of w at or below a few ulps of 2, the roundoff of an
     exactly zero one, enter W as 0.
     """
-    return _majorization(_overlaps(basis_a, basis_b))
+    return _majorization(_overlaps(require_orthonormal(basis_a), require_orthonormal(basis_b)))
 
 
 def _top_gram_eigenvalue(gram: np.ndarray) -> np.ndarray:
@@ -290,7 +292,7 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
             flat = per_column.reshape(-1, d)  # one matrix product per class, not one per stack item
             for l in longs:
                 # The Gram matrix of every U[R, S] with |S| = l: (..., R, m, m, S).
-                gram = (flat @ indicators[l].T).reshape(per_column.shape[:-1] + (-1,))
+                gram = (flat @ indicators[l].T).reshape(per_column.shape[:-1] + (len(indicators[l]),))
                 sigma = np.sqrt(_top_gram_eigenvalue(gram))
                 k = m + l - 1
                 top[..., k - 1] = np.maximum(top[..., k - 1], sigma)
@@ -315,10 +317,18 @@ def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
     MAX_MAJORIZATION_DIM. Stacks of bases and noise levels broadcast: floats
     for unstacked input, arrays of the broadcast stack shape otherwise.
     """
-    u = _overlaps(basis_a, basis_b)
+    u = _overlaps(require_orthonormal(basis_a), require_orthonormal(basis_b))
     d = u.shape[-1]
     d_alpha = device_uncertainty_white_noise(alpha, d)
     d_beta = device_uncertainty_white_noise(beta, d)
+    return _pair_bounds(u, d_alpha, d_beta, np.minimum(alpha, beta))
+
+
+def _pair_bounds(u: np.ndarray, d_alpha, d_beta, noisier) -> dict:
+    """``basis_pair_bounds`` from the overlap matrices u (..., d, d), the
+    white-noise device uncertainties D_WN(alpha) and D_WN(beta), and
+    min(alpha, beta), all already checked."""
+    d = u.shape[-1]
     d_wn = d_alpha + d_beta
     # mu through w_1 - 1 = max |U_ij|, the route the pinned sweep outputs use.
     w1 = 1.0 + np.sqrt((np.abs(u) ** 2).max(axis=(-2, -1)))
@@ -326,8 +336,7 @@ def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
     values = {"mu": mu, "B1": mu + np.minimum(d_alpha, d_beta)}
     if d <= MAX_MAJORIZATION_DIM:
         mv = _majorization(u)
-        noisier = np.asarray(np.minimum(alpha, beta))[..., None]
-        qw = np.sum(_white_noise_kernel(mv.padded(), noisier, d), axis=-1)
+        qw = np.sum(_white_noise_kernel(mv.padded(), np.asarray(noisier)[..., None], d), axis=-1)
         values.update(HW=shannon_entropy(mv.W), QW=qw, B2=qw + d_wn)
     values["D_WN"] = d_wn
     return {name: float_or_array(v) for name, v in zip(values, np.broadcast_arrays(*values.values()))}
@@ -385,13 +394,18 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
     the majorization bounds HW, QW and B2 are omitted and a note says so.
     With a state, the outcome entropies and the device/quantum split are
     added for both measurements.
+
+    Each POVM's device-uncertainty operator and outcome distribution is
+    formed once and read by every value that needs it.
     """
+    require_same_dim(a, b)
+    m_a, m_b = device_uncertainty_operator(a), device_uncertainty_operator(b)
     values = {
         "krishna_A": krishna_bound(a),
         "krishna_B": krishna_bound(b),
-        "minD_A": min_device_uncertainty(a),
-        "minD_B": min_device_uncertainty(b),
-        "minD_pair": min_pair_device_bound(a, b),
+        "minD_A": _lowest_eigenvalue(m_a),
+        "minD_B": _lowest_eigenvalue(m_b),
+        "minD_pair": _lowest_eigenvalue(m_a + m_b),
         "coles_C": coles_bound(a, b),
     }
     metadata: dict[str, object] = {"dim": a.dim, "n_A": a.n_outcomes, "n_B": b.n_outcomes}
@@ -401,7 +415,11 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
     if basis_a is not None and basis_b is not None:
         notes.append(_B1_NOTE)
         notes.append("basis-family bounds evaluated at zero noise (both POVMs are projective)")
-        values.update(basis_pair_bounds(basis_a, 1.0, basis_b, 1.0))
+        # The eigenvector rows of a validated projective POVM are a basis to
+        # within its completeness tolerance, which need not meet
+        # TOL_ORTHONORMAL, so they are not checked again.
+        sharp = device_uncertainty_white_noise(1.0, a.dim)
+        values.update(_pair_bounds(_overlaps(basis_a, basis_b), sharp, sharp, 1.0))
         if a.dim > MAX_MAJORIZATION_DIM:
             notes.append(
                 f"HW, QW and B2 omitted: the majorization enumeration is limited to "
@@ -412,13 +430,10 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
         metadata["pvm_pair"] = False
 
     if rho is not None:
-        values.update(
-            H_A=shannon_entropy(outcome_probs(rho, a)),
-            H_B=shannon_entropy(outcome_probs(rho, b)),
-            D_A=device_uncertainty(rho, a),
-            D_B=device_uncertainty(rho, b),
-            Q_A=quantum_uncertainty(rho, a),
-            Q_B=quantum_uncertainty(rho, b),
-        )
+        p_a, p_b = outcome_probs(rho, a), outcome_probs(rho, b)
+        state = _state_matrix(rho)
+        h_a, h_b = shannon_entropy(p_a), shannon_entropy(p_b)
+        d_a, d_b = _expectation(state, m_a), _expectation(state, m_b)
+        values.update(H_A=h_a, H_B=h_b, D_A=d_a, D_B=d_b, Q_A=h_a - d_a, Q_B=h_b - d_b)
         metadata["state"] = True
     return BoundReport(values=values, metadata=metadata, notes=tuple(notes))

@@ -9,9 +9,8 @@ Fourier couple of mutually unbiased bases.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -140,10 +139,11 @@ class SweepResult:
         yield from (f"# {line}" for line in self.config.echo() + self.crossover_lines())
         yield ",".join(self.table)
         columns = list(self.table.values())
+        row_format = ",".join(["%.12g"] * len(columns))
         for start in range(0, self.config.steps, _GRID_BLOCK):
             block = [column[start : start + _GRID_BLOCK].tolist() for column in columns]
             for row in zip(*block):
-                yield ",".join(f"{value:.12g}" for value in row)
+                yield row_format % row
 
     def write_csv(self, path) -> None:
         """Write csv_lines() to path as they are made; ConfigError if the file cannot be written."""
@@ -237,15 +237,26 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     return {label: tuple(dict.fromkeys(found[owner == k].tolist())) for k, label in enumerate(differences)}
 
 
-def _theta_columns(theta: np.ndarray, eta: float, zeta: float) -> dict[str, np.ndarray]:
-    """Every THETA_COLUMNS value (and mu) at the (k,) angles theta, as (k,) arrays."""
-    basis_a = spin_basis(theta)
-    columns = bounds.basis_pair_bounds(basis_a, eta, _Z_BASIS, zeta)
-    columns.update(
-        theta=theta,
-        logC=bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(_Z_BASIS, zeta)),
-    )
-    return columns
+def _theta_columns_of(eta: float, zeta: float) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """The angle sweep's column function at noise levels eta, zeta.
+
+    It maps (k,) angles theta to every THETA_COLUMNS value (and mu) as (k,)
+    arrays. The sigma_z side, its white-noise POVM, both white-noise device
+    uncertainties and min(eta, zeta) do not depend on theta and are built
+    here once; each call builds only the spin side. The spin bases are
+    orthonormal by construction and go to the pair kernel unchecked.
+    """
+    fixed = white_noise_povm(_Z_BASIS, zeta)
+    d_eta, d_zeta = (bounds.device_uncertainty_white_noise(level, 2) for level in (eta, zeta))
+    noisier = min(eta, zeta)
+
+    def columns_of(theta: np.ndarray) -> dict[str, np.ndarray]:
+        basis = spin_basis(theta)
+        columns = bounds._pair_bounds(bounds._overlaps(basis, _Z_BASIS), d_eta, d_zeta, noisier)
+        columns.update(theta=theta, logC=bounds.coles_bound(white_noise_povm(basis, eta), fixed))
+        return columns
+
+    return columns_of
 
 
 def _damping_columns(e: np.ndarray) -> dict[str, np.ndarray]:
@@ -274,7 +285,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     every crossing is refined through the same function.
     """
     if config.kind == "theta":
-        columns_of = partial(_theta_columns, eta=config.eta, zeta=config.zeta)
+        columns_of = _theta_columns_of(config.eta, config.zeta)
         names = THETA_COLUMNS
         differences = {"B2-B1": ("B2", "B1"), "D_WN-logC": ("D_WN", "logC"), "D_WN-B1": ("D_WN", "B1")}
     else:

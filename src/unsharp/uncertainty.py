@@ -22,8 +22,11 @@ from .povm import Povm
 def entropy_term(x):
     """Pointwise -x log2(x) with 0 log 0 = 0; accepts scalars or arrays."""
     x = np.asarray(x, dtype=float)
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, -safe * np.log2(safe), 0.0)
+    positive = x > 0.0
+    safe = np.where(positive, x, 1.0)
+    h = np.log2(safe)
+    h *= safe
+    return np.where(positive, -h, 0.0)
 
 
 def _state_matrix(rho) -> np.ndarray:
@@ -117,7 +120,12 @@ def device_uncertainty(rho, povm: Povm):
     """
     rho = _state_matrix(rho)
     _state_dim(rho, povm)
-    return float_or_array(np.einsum("...ij,...ji->...", rho, device_uncertainty_operator(povm)).real)
+    return _expectation(rho, device_uncertainty_operator(povm))
+
+
+def _expectation(rho: np.ndarray, m: np.ndarray):
+    """Tr[rho M] of states rho and Hermitian operators M of matching dimension."""
+    return float_or_array(np.einsum("...ij,...ji->...", rho, m).real)
 
 
 def quantum_uncertainty(rho, povm: Povm):

@@ -1,9 +1,9 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from unsharp import bounds, suites, sweeps
+from unsharp import bounds, suites, sweeps, uncertainty
 from unsharp.bounds import (
     MAX_MAJORIZATION_DIM,
     ad_coles_closed_form,
@@ -36,6 +36,7 @@ from unsharp.uncertainty import (
     binary_entropy,
     device_uncertainty,
     outcome_probs,
+    quantum_uncertainty,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -634,6 +635,33 @@ class TestPairQuantitiesOnce:
         a, b = ad_pair(0.3)
         pair_bound_report(a, b)
         assert mv_calls == []
+
+    def test_one_operator_and_distribution_per_povm(self, monkeypatch):
+        counts = dict.fromkeys(("device_uncertainty_operator", "outcome_probs"), 0)
+        # Counted in both modules, so that a call through either one shows.
+        for module, name in product((bounds, uncertainty), counts):
+            real = getattr(module, name)
+
+            def counting(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        rng = np.random.default_rng(48)
+        projective = [projective_from_basis(random_basis(3, rng)) for _ in range(2)]
+        for a, b in (ad_pair(0.3), projective):
+            rho = random_mixed_state(3, rng)
+            for state, distributions in ((None, 0), (rho, 2)):
+                counts.update(dict.fromkeys(counts, 0))
+                values = pair_bound_report(a, b, state).values
+                assert counts == {"device_uncertainty_operator": 2, "outcome_probs": distributions}
+            # Each value equals the public function's, bit for bit.
+            assert (values["minD_A"], values["minD_B"]) == (min_device_uncertainty(a), min_device_uncertainty(b))
+            assert values["minD_pair"] == min_pair_device_bound(a, b)
+            for side, povm in (("A", a), ("B", b)):
+                assert values[f"H_{side}"] == shannon_entropy(outcome_probs(rho, povm))
+                assert values[f"D_{side}"] == device_uncertainty(rho, povm)
+                assert values[f"Q_{side}"] == quantum_uncertainty(rho, povm)
 
 
 class TestBasisPairBounds:

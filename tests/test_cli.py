@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from unsharp import suites
 from unsharp.suites import MAX_TRIALS, SUITES
 from unsharp.sweeps import MAX_STEPS
 
+DATA = Path(__file__).parent / "data"
 
 @pytest.fixture
 def files(tmp_path):
@@ -151,6 +153,23 @@ class TestBounds:
         assert main(["bounds", files["near"], files["pvm_z"], "--state", files["mixed"]]) == 0
         values = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)["values"]
         assert all(np.isfinite(list(values.values())))
+
+    def test_projective_pair_within_completeness_tolerance(self, capsys):
+        # Rank-1 projectors onto the rows of a random qubit unitary, each row
+        # perturbed by 3e-9 (complex normal) and renormalized: both files pass
+        # validate, but the effects' eigenvectors are orthonormal only to
+        # 1.03e-8, above TOL_ORTHONORMAL. bounds used to exit 1 with NotOrthonormal.
+        paths = [str(DATA / f"near_orthonormal_{side}.json") for side in "ab"]
+        for path in paths:
+            assert main(["validate", path, "--json"]) == 0
+        capsys.readouterr()
+        assert main(["bounds", *paths]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["metadata"]["pvm_pair"] is True
+        values = report["values"]
+        assert all(np.isfinite(list(values.values())))
+        assert values["mu"] == pytest.approx(values["coles_C"], abs=1e-8)
+        assert values["B2"] == values["HW"]
 
     def test_projective_pair_above_majorization_limit(self, files, capsys):
         d = MAX_MAJORIZATION_DIM + 1

@@ -349,6 +349,15 @@ class TestBoundStacks:
         assert_stack(mv.w, [s.w for s in singles])
         assert_stack(mv.W, [s.W for s in singles])
 
+    @pytest.mark.parametrize("dim", range(2, bounds.MAX_MAJORIZATION_DIM + 1))
+    def test_empty_basis_stack(self, dim):
+        empty = np.zeros((0, dim, dim), dtype=complex)
+        mv = bounds.majorization_vector(empty, empty)
+        assert mv.w.shape == (0, dim) and mv.W.shape == (0, 2 * dim - 1)
+        values = bounds.basis_pair_bounds(empty, 0.5, empty, np.zeros(0))
+        assert list(values) == ["mu", "B1", "HW", "QW", "B2", "D_WN"]
+        assert all(v.shape == (0,) for v in values.values())
+
     def test_white_noise_closed_form(self):
         alphas = np.linspace(0.0, 1.0, 11)
         for d in (2, 5):

@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import Counter
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from oracles import crossing_roots
 from unsharp import bounds, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
-from unsharp.povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
+from unsharp.povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 from unsharp.uncertainty import f_white_noise, shannon_entropy
 from unsharp.sweeps import (
     CROSSOVER_DECIMALS,
@@ -33,7 +32,7 @@ def damping_config(steps=41):
 
 def theta_point(theta, eta, zeta):
     """The angle-sweep columns at one angle, through the sweep's column function."""
-    columns = sweeps._theta_columns(np.array([theta]), eta, zeta)
+    columns = sweeps._theta_columns_of(eta, zeta)(np.array([theta]))
     return {name: float(values[0]) for name, values in columns.items()}
 
 
@@ -438,6 +437,18 @@ class TestAgainstRowReference:
         expected = [[f"{float(x):.12g}" for x in values] for values in result.table.values()]
         assert [list(column) for column in zip(*cells)] == expected
 
+    def test_percent_format_matches_format_spec(self):
+        # Rows are formatted by one "%.12g,..." format; it must print every
+        # float as f"{x:.12g}" does, the cell format the CSV has always had.
+        specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 3.0, -2.0, 1e12, 123456789012.0, 0.1]
+        extremes = []
+        for result in (run_sweep(theta_config(0.8, 0.9, steps=181)), run_sweep(damping_config(steps=101))):
+            for values in result.table.values():
+                nonzero = np.abs(values[values != 0.0])
+                extremes += [values.min(), values.max(), nonzero.min(initial=np.inf), nonzero.max(initial=0.0)]
+        for x in specials + [float(x) for x in extremes]:
+            assert "%.12g" % x == f"{x:.12g}"
+
 
 NOISE_GRID = sorted(set(product((0.0, 0.3, 0.8, 1.0), (0.0, 0.6, 0.9, 1.0))))
 
@@ -450,7 +461,7 @@ class TestCorrectlyRounded:
     def test_theta_sweep(self, eta, zeta):
         config = theta_config(eta, zeta, steps=181)
         result = run_sweep(config)
-        columns_of = partial(sweeps._theta_columns, eta=eta, zeta=zeta)
+        columns_of = sweeps._theta_columns_of(eta, zeta)
         roots = crossing_roots(config.grid(), result.table, THETA_DIFFERENCES, columns_of)
         crossovers, expected = dict(result.crossovers), correctly_rounded(roots)
         if (eta, zeta) == (1.0, 0.0):
@@ -507,13 +518,27 @@ class TestSweepWork:
 
     @pytest.fixture
     def work(self, monkeypatch):
-        names = ("_majorization", "coles_bound", "_theta_columns", "_damping_columns")
-        counts = dict.fromkeys(names, 0)
-        shapes = []
-        for name in ("_majorization", "coles_bound"):
+        counts, shapes = Counter(), []
+        for name in ("_majorization", "coles_bound", "device_uncertainty_white_noise"):
             _count_calls(monkeypatch, bounds, name, counts)
-        for name in ("_theta_columns", "_damping_columns"):
-            _count_calls(monkeypatch, sweeps, name, counts, shapes)
+        _count_calls(monkeypatch, sweeps, "white_noise_povm", counts)
+        _count_calls(monkeypatch, sweeps, "_damping_columns", counts, shapes)
+        _count_calls(monkeypatch, Povm, "__post_init__", counts)
+        real_factory = sweeps._theta_columns_of
+
+        def factory(*args):
+            # One theta column function per sweep; "_theta_columns" counts its calls.
+            counts["_theta_columns_of"] += 1
+            columns_of = real_factory(*args)
+
+            def counted(theta):
+                counts["_theta_columns"] += 1
+                shapes.append(np.shape(theta))
+                return columns_of(theta)
+
+            return counted
+
+        monkeypatch.setattr(sweeps, "_theta_columns_of", factory)
         searches = []
         real_find = sweeps.find_crossings
 
@@ -526,7 +551,7 @@ class TestSweepWork:
                 return columns_of(x)
 
             found = real_find(xs, table, differences, counted)
-            searches.append((steps, {k: counts[k] - before[k] for k in counts}, found))
+            searches.append((steps, {k: counts[k] - before.get(k, 0) for k in counts}, found))
             return found
 
         monkeypatch.setattr(sweeps, "find_crossings", recording_find)
@@ -545,9 +570,16 @@ class TestSweepWork:
         # are correctly rounded within 6 calls.
         assert refinement[0] == (6,)
         assert len(refinement) <= 6
+        assert counts["_theta_columns_of"] == 1
         assert counts["_theta_columns"] == 1 + len(refinement)
         assert counts["_majorization"] == counts["coles_bound"] == 1 + len(refinement)
         assert delta["_majorization"] == delta["coles_bound"] == len(refinement)
+        # The sigma_z side and both D_WN values are built once per sweep; each
+        # column call constructs one POVM, the spin side.
+        assert counts["white_noise_povm"] == counts["__post_init__"] == 1 + counts["_theta_columns"]
+        assert delta["white_noise_povm"] == delta["__post_init__"] == len(refinement)
+        assert counts["device_uncertainty_white_noise"] == 2
+        assert delta["device_uncertainty_white_noise"] == 0
 
     def test_sharp_theta_sweep(self, work):
         _, _, searches = work
@@ -570,7 +602,7 @@ class TestSweepWork:
         assert delta["_damping_columns"] == delta["coles_bound"] == len(refinement)
 
     def test_grid_in_blocks(self, work, monkeypatch):
-        _, shapes, searches = work
+        counts, shapes, searches = work
         whole = run_sweep(theta_config(0.3, 0.7, steps=61))
         whole_lines = list(whole.csv_lines())
         shapes.clear()
@@ -578,6 +610,9 @@ class TestSweepWork:
         blocked = run_sweep(theta_config(0.3, 0.7, steps=61))
         # 61 points in blocks of 7, then the refinement calls.
         assert shapes == [(7,)] * 8 + [(5,)] + searches[-1][0]
+        # The fixed side is built once per sweep, not once per block.
+        assert counts["_theta_columns_of"] == 2
+        assert counts["device_uncertainty_white_noise"] == 4
         assert list(blocked.table) == list(whole.table)
         for name, values in whole.table.items():
             np.testing.assert_array_equal(blocked.table[name], values)
