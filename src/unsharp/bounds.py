@@ -297,7 +297,11 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
                 k = m + l - 1
                 top[..., k - 1] = np.maximum(top[..., k - 1], sigma)
     top[..., d - 1] = 1.0
-    w = 1.0 + top
+    # w is at most 2, but rows orthonormal only to a validation tolerance eps
+    # give sigma_max = 1 + eps on a block [[1, eps], [eps*, 1]] of two shared
+    # vectors; the drops back to 2 would enter W as zeros and leave it summing
+    # to 1 + O(eps), past TOL_PROB_SUM. Capped, W sums to 1 at any accepted input.
+    w = 1.0 + np.minimum(top, 1.0)
 
     increments = np.diff(w, axis=-1, prepend=1.0)
     increments[increments <= _INCREMENT_FLOOR] = 0.0

@@ -324,6 +324,21 @@ class TestMajorizationVector:
         for mv in (majorization_vector(basis_x, basis_z), majorization_vector(pvm_x, pvm_z)):
             assert not np.any((mv.W > 0.0) & (mv.W < 1e-12))
 
+    @pytest.mark.parametrize("d", range(4, MAX_MAJORIZATION_DIM + 1))
+    def test_rows_within_orthonormal_tolerance(self, d):
+        # Rows 0 and 1 overlap by c < TOL_ORTHONORMAL, so the block of those two
+        # vectors against themselves has sigma_max = 1 + c: w must still be
+        # nondecreasing, end at 2 and never exceed it, and W must sum to 1.
+        c = 9e-9
+        basis = np.eye(d, dtype=complex)
+        basis[1] = (basis[1] + c * basis[0]) / np.sqrt(1.0 + c * c)
+        for other in (basis, np.eye(d)[::-1]):
+            mv = majorization_vector(basis, other)
+            assert np.all(np.diff(mv.w) >= 0.0)
+            assert mv.w.max() == mv.w[-1] == 2.0
+            assert np.all(mv.W >= 0.0)
+            assert mv.W.sum() == pytest.approx(1.0, abs=1e-15)
+
 
 def adversarial_grams(rng, n):
     """(7n, 3, 3) Hermitian PSD matrices with spectra in [0, 1]: double,

@@ -171,6 +171,28 @@ class TestBounds:
         assert values["mu"] == pytest.approx(values["coles_C"], abs=1e-8)
         assert values["B2"] == values["HW"]
 
+    @pytest.mark.parametrize("second", ["near_orthonormal_d5.json", "near_orthonormal_d5_shared.json"])
+    def test_near_orthonormal_pair_sharing_basis_vectors(self, second, capsys):
+        # near_orthonormal_d5.json: projectors onto the rows of a random d = 5
+        # unitary, each row perturbed by 3e-9 (complex normal) and renormalized;
+        # its eigenvector rows are orthonormal to 1.04e-8. The _shared file keeps
+        # its two most overlapping rows and completes them with another perturbed
+        # basis. Against the file itself or its partner, a block of two shared
+        # vectors has sigma_max = 1 + 1.04e-8; unless w is capped at 2 that pushes
+        # the sum of W past TOL_PROB_SUM, a bare ValueError out of bounds.
+        paths = [str(DATA / "near_orthonormal_d5.json"), str(DATA / second)]
+        for path in paths:
+            assert main(["validate", path, "--json"]) == 0
+        capsys.readouterr()
+        assert main(["bounds", *paths]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["metadata"]["pvm_pair"] is True
+        values = report["values"]
+        assert all(np.isfinite(list(values.values())))
+        assert values["mu"] == pytest.approx(0.0, abs=1e-8)
+        assert values["HW"] == pytest.approx(0.0, abs=1e-6)
+        assert values["B2"] == values["HW"]
+
     def test_projective_pair_above_majorization_limit(self, files, capsys):
         d = MAX_MAJORIZATION_DIM + 1
         rng = np.random.default_rng(9)
