@@ -30,7 +30,6 @@ from .errors import (
     EigenvalueAboveOne,
     NotFinite,
     NotHermitian,
-    NotNormalized,
     NotOrthonormal,
     NotPositive,
     ParseError,
@@ -38,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DensityMatrix,
     pure_state_density,
     validate_density,
 )
@@ -77,13 +75,11 @@ __all__ = [
     "BoundReport",
     "CompletenessViolated",
     "DegenerateDraw",
-    "DensityMatrix",
     "DimensionMismatch",
     "EigenvalueAboveOne",
     "MajorizationVector",
     "NotFinite",
     "NotHermitian",
-    "NotNormalized",
     "NotOrthonormal",
     "NotPositive",
     "ParseError",

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TOL_PROJECTIVE, DensityMatrix, _frozen, float_or_array, require_orthonormal, require_unit_interval
+from .linalg import TOL_PROJECTIVE, _frozen, float_or_array, require_orthonormal, require_unit_interval
 from .povm import Povm, require_same_dim
 from .uncertainty import (
     _expectation,
@@ -389,7 +389,7 @@ def _pvm_basis(povm: Povm) -> np.ndarray | None:
     return povm.eigenvectors[:, :, -1]
 
 
-def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> BoundReport:
+def pair_bound_report(a: Povm, b: Povm, rho=None) -> BoundReport:
     """All applicable bounds for a measurement pair, optionally with a state.
 
     POVM-level bounds are always included. The basis-family bounds (mu, B1,
@@ -420,8 +420,8 @@ def pair_bound_report(a: Povm, b: Povm, rho: DensityMatrix | None = None) -> Bou
         notes.append(_B1_NOTE)
         notes.append("basis-family bounds evaluated at zero noise (both POVMs are projective)")
         # The eigenvector rows of a validated projective POVM are a basis to
-        # within its completeness tolerance, which need not meet
-        # TOL_ORTHONORMAL, so they are not checked again.
+        # within about d times its completeness tolerance, which need not
+        # meet basis_tol(d), so they are not checked again.
         sharp = device_uncertainty_white_noise(1.0, a.dim)
         values.update(_pair_bounds(_overlaps(basis_a, basis_b), sharp, sharp, 1.0))
         if a.dim > MAX_MAJORIZATION_DIM:

@@ -21,10 +21,6 @@ class TraceNotOne(ValidationError):
     """Operator trace deviates from 1 beyond tolerance."""
 
 
-class NotNormalized(ValidationError):
-    """Vector norm deviates from 1 beyond tolerance."""
-
-
 class NotOrthonormal(ValidationError):
     """Vector set fails pairwise orthonormality beyond tolerance."""
 

@@ -2,31 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     NotFinite,
     NotHermitian,
-    NotNormalized,
     NotOrthonormal,
     NotPositive,
     TraceNotOne,
 )
 
-# Double-precision dense eigensolvers on dim <= 8 matrices stay well inside
-# these tolerances.
+# The tolerance policy, stated once. Each input kind has one check, with
+# these input tolerances; nothing derived from a checked input is checked
+# again at a tighter one. Double-precision dense eigensolvers on dim <= 8
+# matrices stay well inside them.
+#   TOL_HERMITIAN    max entrywise |m - m^dagger| of a state or an effect
+#   TOL_PSD          state eigenvalues >= -TOL_PSD; effect ones in [-TOL_PSD, 1 + TOL_PSD]
+#   TOL_TRACE        |Tr rho - 1| of a state, also of |psi><psi| for a vector psi
+#   TOL_RECONSTRUCT  max entrywise |sum_i A_i - I| of a POVM
+#   TOL_PROB_SUM     |sum_i p_i - 1| of a distribution given to shannon_entropy
+# States go through validate_density or pure_state_density, POVMs through
+# Povm. A basis (require_orthonormal) and the outcome probabilities of a
+# checked state and POVM take tolerances derived from the ones above, so
+# that whatever one step accepts the next accepts: basis_tol(d) and
+# prob_tol(d), each derived in its docstring.
 TOL_HERMITIAN = 1e-10
 TOL_PSD = 1e-10
 TOL_TRACE = 1e-10
-TOL_ORTHONORMAL = 1e-8
 TOL_RECONSTRUCT = 1e-8
-# Sum slack of a probability vector given to shannon_entropy.
 TOL_PROB_SUM = 1e-8
-# Largest eigenvalue deviation from 0 or 1 of a rank-1 projective effect.
+# A classifier, not a check: an effect counts as a rank-1 projector when its
+# eigenvalues lie within TOL_PROJECTIVE of 0 or 1.
 TOL_PROJECTIVE = 1e-9
-# Slack of the Bloch constraint of QubitPovmParams and of a theta grid over pi.
+# None of the thresholds below validate input. Parameter slacks: the Bloch
+# constraint of QubitPovmParams and a theta grid over pi.
 TOL_BLOCH = 1e-12
 TOL_ANGLE = 1e-12
 # Suite slacks: inequalities and majorization sums; the mixture and dual-map
@@ -115,6 +124,21 @@ def prob_tol(d: int) -> float:
     return 2.0 * (TOL_TRACE + trace_norm * max((d + 1) * e, d * TOL_RECONSTRUCT))
 
 
+def basis_tol(d: int) -> float:
+    """Largest Gram defect max |G - I| that ``require_orthonormal`` accepts.
+
+    A Gram defect t bounds ||G - I||_2 by d * t. A sum of the projectors
+    onto some of the rows has the nonzero eigenvalues of the matching
+    principal submatrix of G, so its eigenvalues lie within d * t of [0, 1],
+    and the sum of all d of them has completeness residual at most d * t.
+    With d * t = TOL_PSD / 2, the projective, white-noise and
+    amplitude-damping POVMs of an accepted basis pass ``Povm``, whose
+    bounds are TOL_PSD and TOL_RECONSTRUCT >= TOL_PSD; the factor 2 leaves
+    room for rounding.
+    """
+    return TOL_PSD / (2.0 * d)
+
+
 def require_hermitian(m) -> np.ndarray:
     """Return m as a complex array, raising NotHermitian beyond TOL_HERMITIAN.
 
@@ -133,17 +157,6 @@ def require_hermitian(m) -> np.ndarray:
     return m
 
 
-def require_unit_vector(v) -> np.ndarray:
-    """Return v as a complex 1-D array, raising NotNormalized beyond TOL_ORTHONORMAL."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= TOL_ORTHONORMAL:
-        raise NotNormalized(f"vector norm is {norm:.12f}, expected 1 within {TOL_ORTHONORMAL:.1e}")
-    return v
-
-
 def require_orthonormal(basis) -> np.ndarray:
     """Check that the rows of basis form a complete orthonormal set.
 
@@ -153,52 +166,27 @@ def require_orthonormal(basis) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim < 2 or basis.shape[-1] != basis.shape[-2]:
         raise ValueError(f"expected d vectors of length d, got shape {basis.shape}")
+    d = basis.shape[-1]
     gram = basis.conj() @ basis.swapaxes(-1, -2)
-    defect = abs(gram - np.eye(basis.shape[-1])).max(axis=(-2, -1))
-    ok = defect <= TOL_ORTHONORMAL
+    defect = abs(gram - np.eye(d)).max(axis=(-2, -1))
+    ok = defect <= basis_tol(d)
     if not ok.all():
         index = first_index(~ok)
         raise NotOrthonormal(
-            f"{item_prefix('basis', index)}max Gram-matrix deviation from identity is {defect[index]:.3e} > {TOL_ORTHONORMAL:.1e}"
+            f"{item_prefix('basis', index)}max Gram-matrix deviation from identity is {defect[index]:.3e} > {basis_tol(d):.1e}"
         )
     return basis
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Unit-trace positive semidefinite operator wrapping a (d, d) array.
+def validate_density(m) -> np.ndarray:
+    """Check finiteness, Hermiticity, positivity and unit trace.
 
-    A (..., d, d) array wraps a stack of states; every function that takes a
-    state broadcasts its leading axes. Construct untrusted input through
-    :func:`validate_density`, which checks Hermiticity, positivity and trace
-    before wrapping.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(_as_square_matrix(self.matrix)))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    def __array__(self, dtype=None, copy=None):
-        arr = self.matrix
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        if copy:
-            arr = arr.copy()
-        return arr
-
-
-def validate_density(m) -> DensityMatrix:
-    """Check finiteness, Hermiticity, positivity and unit trace, then wrap.
-
-    m is one (d, d) matrix or a stack (..., d, d). Raises NotFinite,
-    NotHermitian, NotPositive or TraceNotOne naming the violated invariant
-    together with the measured violation; for a stack the message names the
-    first failing matrix in C order.
+    m is one (d, d) matrix or a stack (..., d, d). A state is that complex
+    array, returned read-only; every function that takes a state broadcasts
+    its leading axes. Raises NotFinite, NotHermitian, NotPositive or
+    TraceNotOne naming the violated invariant together with the measured
+    violation; for a stack the message names the first failing matrix in C
+    order.
     """
     m = require_hermitian(require_finite(_as_square_matrix(m), "density matrix"))
     lowest = np.linalg.eigvalsh(m)[..., 0]
@@ -209,7 +197,7 @@ def validate_density(m) -> DensityMatrix:
     with np.errstate(over="ignore"):
         trace = np.trace(m, axis1=-2, axis2=-1)
     require_unit_trace(trace)
-    return DensityMatrix(m)
+    return _frozen(m)
 
 
 def require_unit_trace(trace) -> None:
@@ -227,7 +215,19 @@ def require_unit_trace(trace) -> None:
         )
 
 
-def pure_state_density(psi) -> DensityMatrix:
-    """|psi><psi| for a unit vector psi."""
-    psi = require_unit_vector(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+def pure_state_density(psi) -> np.ndarray:
+    """|psi><psi| for a vector psi, as a read-only (d, d) array.
+
+    The one check of a pure state: every entry finite (NotFinite), then the
+    trace |psi|^2 within TOL_TRACE of 1 (TraceNotOne), summed as
+    ``validate_density`` sums it, so every state returned passes that too.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {psi.shape}")
+    require_finite(psi, "density matrix", core_ndim=1)
+    # An entry whose square overflows makes the trace infinite, which fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.outer(psi, psi.conj())
+        require_unit_trace(np.trace(rho))
+    return _frozen(rho)

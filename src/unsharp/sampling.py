@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDraw
-from .linalg import TOL_DRAW_NORM, TOL_DRAW_RANK, DensityMatrix
+from .linalg import TOL_DRAW_NORM, TOL_DRAW_RANK, _frozen
 from .povm import Povm
 
 _MAX_RETRIES = 100
@@ -75,24 +75,24 @@ def random_state_vector(d: int, seed, size=None) -> np.ndarray:
     return _draw(size, draw, "state vector")
 
 
-def random_pure_state(d: int, seed, size=None) -> DensityMatrix:
-    """|psi><psi| for a rotation-invariant random unit vector psi.
+def random_pure_state(d: int, seed, size=None) -> np.ndarray:
+    """|psi><psi| for a rotation-invariant random unit vector psi, read-only.
 
-    With ``size`` the DensityMatrix holds a (*size, d, d) stack of states.
+    With ``size`` a (*size, d, d) stack of states.
     """
     psi = random_state_vector(d, seed, size)
-    return DensityMatrix(np.einsum("...i,...j->...ij", psi, psi.conj()))
+    return _frozen(np.einsum("...i,...j->...ij", psi, psi.conj()))
 
 
-def random_mixed_state(d: int, seed, size=None) -> DensityMatrix:
-    """Mixture of d random pure states with flat random simplex weights.
+def random_mixed_state(d: int, seed, size=None) -> np.ndarray:
+    """Mixture of d random pure states with flat random simplex weights, read-only.
 
-    With ``size`` the DensityMatrix holds a (*size, d, d) stack of states.
+    With ``size`` a (*size, d, d) stack of states.
     """
     rng = _rng(seed)
     weights = rng.dirichlet(np.ones(d), size=size)
     psi = random_state_vector(d, rng, _shape(size) + (d,))
-    return DensityMatrix(np.einsum("...k,...ki,...kj->...ij", weights, psi, psi.conj()))
+    return _frozen(np.einsum("...k,...ki,...kj->...ij", weights, psi, psi.conj()))
 
 
 def random_basis(d: int, seed, size=None) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .linalg import DensityMatrix, require_finite, require_unit_trace, validate_density
+from .linalg import pure_state_density, validate_density
 from .povm import Povm, make_povm
 
 
@@ -67,26 +67,20 @@ def povm_to_json(povm: Povm) -> dict:
     return {"dim": povm.dim, "effects": [_encode_complex_matrix(e) for e in povm.effects]}
 
 
-def state_from_json(obj) -> DensityMatrix:
-    """Build and validate a density matrix from its JSON object form."""
+def state_from_json(obj) -> np.ndarray:
+    """Build and validate a state, a read-only (d, d) array, from its JSON object form."""
     if not isinstance(obj, dict):
         raise ParseError("state document must be a JSON object")
     d = json_int(obj.get("dim"), "state document 'dim'")
     if "matrix" in obj:
         return validate_density(_decode_complex(obj["matrix"], (d, d), "state matrix"))
     if "vector" in obj:
-        # Both checked before the outer product, which warns on an infinite
-        # entry or on one whose square overflows; the trace of |psi><psi| is
-        # then far from 1.
-        psi = require_finite(_decode_complex(obj["vector"], (d,), "state vector"), "density matrix", core_ndim=1)
-        with np.errstate(over="ignore"):
-            require_unit_trace(np.sum(psi.real**2 + psi.imag**2))
-        return validate_density(np.outer(psi, psi.conj()))
+        return pure_state_density(_decode_complex(obj["vector"], (d,), "state vector"))
     raise ParseError("state document needs a 'matrix' or 'vector' field")
 
 
-def state_to_json(rho: DensityMatrix) -> dict:
-    return {"dim": rho.dim, "matrix": _encode_complex_matrix(rho.matrix)}
+def state_to_json(rho) -> dict:
+    return {"dim": np.shape(rho)[-1], "matrix": _encode_complex_matrix(rho)}
 
 
 def load_povm(path) -> Povm:
@@ -94,6 +88,6 @@ def load_povm(path) -> Povm:
         return povm_from_json(json.load(handle))
 
 
-def load_state(path) -> DensityMatrix:
+def load_state(path) -> np.ndarray:
     with open(path, encoding="utf-8") as handle:
         return state_from_json(json.load(handle))

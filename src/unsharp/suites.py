@@ -132,8 +132,8 @@ def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
             povm = random_povm(d, n, rng, size=idx.size)
             odd = idx % 2 == 1  # odd trials take a pure state, even ones a mixed state
             rho = np.empty((idx.size, d, d), dtype=complex)
-            rho[odd] = random_pure_state(d, rng, size=int(odd.sum())).matrix
-            rho[~odd] = random_mixed_state(d, rng, size=int((~odd).sum())).matrix
+            rho[odd] = random_pure_state(d, rng, size=int(odd.sum()))
+            rho[~odd] = random_mixed_state(d, rng, size=int((~odd).sum()))
             entropy = shannon_entropy(outcome_probs(rho, povm))
             dev = device_uncertainty(rho, povm)
             floor = min_device_uncertainty(povm)

@@ -89,10 +89,10 @@ def binary_entropy(p):
     return float_or_array(entropy_term(q) + entropy_term(1.0 - q))
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr[rho log2 rho] in bits."""
+def von_neumann_entropy(rho):
+    """S(rho) = -Tr[rho log2 rho] in bits; a (..., d, d) stack of states gives (...)."""
     w = np.linalg.eigvalsh(_state_matrix(rho))
-    return float(np.sum(entropy_term(np.clip(w, 0.0, 1.0))))
+    return float_or_array(entropy_term(np.clip(w, 0.0, 1.0)).sum(axis=-1))
 
 
 def device_uncertainty_operator(povm: Povm) -> np.ndarray:
@@ -138,7 +138,7 @@ def quantum_uncertainty(rho, povm: Povm):
     return shannon_entropy(outcome_probs(rho, povm)) - device_uncertainty(rho, povm)
 
 
-def f_white_noise(p: float, alpha: float, d: int) -> float:
+def f_white_noise(p, alpha, d: int):
     """Per-outcome quantum-uncertainty kernel of a white-noise measurement.
 
     With alpha_d = (1 - alpha) / d and h(x) = -x log2 x,
@@ -148,13 +148,14 @@ def f_white_noise(p: float, alpha: float, d: int) -> float:
     so the quantum uncertainty of a white-noise measurement is the sum of
     f over the sharp-basis populations. f is concave in p, vanishes at
     p in {0, 1}, reduces to -p log2 p at alpha = 1 and to 0 at alpha = 0,
-    and is nondecreasing in alpha.
+    and is nondecreasing in alpha. Arrays p and alpha broadcast: a float for
+    scalars, an array of the broadcast shape otherwise.
     """
-    require_unit_interval(p, "p")
-    require_unit_interval(alpha, "alpha")
+    p = require_unit_interval(p, "p")
+    alpha = require_unit_interval(alpha, "alpha")
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    return float(_white_noise_kernel(p, alpha, d))
+    return float_or_array(_white_noise_kernel(p, alpha, d))
 
 
 def _white_noise_kernel(p, alpha, d: int):

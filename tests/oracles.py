@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from unsharp.errors import DimensionMismatch
-from unsharp.linalg import require_unit_vector
+from unsharp.linalg import pure_state_density
 from unsharp.povm import QubitPovmParams
 from unsharp.uncertainty import binary_entropy, von_neumann_entropy
 
@@ -80,7 +80,8 @@ def device_uncertainty_qubit(psi, params: QubitPovmParams) -> float:
     populations of psi in the two a_vec . sigma eigenstates. Agrees with
     ``device_uncertainty`` on |psi><psi| and ``qubit_povm(params)``.
     """
-    psi = require_unit_vector(psi)
+    pure_state_density(psi)  # raises unless psi is finite with |psi|^2 = 1 within TOL_TRACE
+    psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise DimensionMismatch(f"expected a qubit state vector, got shape {psi.shape}")
     r = params.bloch_norm

@@ -6,13 +6,11 @@ PUBLIC = [
     "BoundReport",
     "CompletenessViolated",
     "DegenerateDraw",
-    "DensityMatrix",
     "DimensionMismatch",
     "EigenvalueAboveOne",
     "MajorizationVector",
     "NotFinite",
     "NotHermitian",
-    "NotNormalized",
     "NotOrthonormal",
     "NotPositive",
     "ParseError",

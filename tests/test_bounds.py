@@ -19,7 +19,7 @@ from unsharp.bounds import (
     MajorizationVector,
 )
 from unsharp.errors import DimensionMismatch, NotOrthonormal
-from unsharp.linalg import DensityMatrix
+from unsharp.linalg import validate_density
 from unsharp.povm import (
     QubitPovmParams,
     amplitude_damping_povm,
@@ -251,13 +251,13 @@ class TestBertaReducedBound:
 
     def test_maximally_mixed(self):
         basis_x, basis_z = mub_fourier_basis(3)
-        value = berta_reduced_bound(basis_x, basis_z, DensityMatrix(np.eye(3) / 3))
+        value = berta_reduced_bound(basis_x, basis_z, validate_density(np.eye(3) / 3))
         assert value == pytest.approx(np.log2(3.0) + np.log2(3.0), abs=1e-12)
 
     def test_noisy_state_entropy_equals_device_uncertainty(self):
         rng = np.random.default_rng(12)
         for d in (2, 3, 4):
-            psi = random_pure_state(d, rng).matrix
+            psi = random_pure_state(d, rng)
             for alpha in (0.2, 0.7):
                 rho_alpha = alpha * psi + (1 - alpha) * np.eye(d) / d
                 assert von_neumann_entropy(rho_alpha) == pytest.approx(
@@ -326,14 +326,18 @@ class TestMajorizationVector:
 
     @pytest.mark.parametrize("d", range(4, MAX_MAJORIZATION_DIM + 1))
     def test_rows_within_orthonormal_tolerance(self, d):
-        # Rows 0 and 1 overlap by c < TOL_ORTHONORMAL, so the block of those two
-        # vectors against themselves has sigma_max = 1 + c: w must still be
-        # nondecreasing, end at 2 and never exceed it, and W must sum to 1.
+        # Rows 0 and 1 overlap by c, far above basis_tol(d), so majorization_vector
+        # rejects them. Eigenvector rows that pair_bound_report passes on
+        # unchecked can be this far from orthonormal, and there the block of
+        # those two vectors against themselves has sigma_max = 1 + c: w must
+        # still be nondecreasing, end at 2 and never exceed it, and W must sum to 1.
         c = 9e-9
         basis = np.eye(d, dtype=complex)
         basis[1] = (basis[1] + c * basis[0]) / np.sqrt(1.0 + c * c)
         for other in (basis, np.eye(d)[::-1]):
-            mv = majorization_vector(basis, other)
+            with pytest.raises(NotOrthonormal):
+                majorization_vector(basis, other)
+            mv = bounds._majorization(bounds._overlaps(basis, other))
             assert np.all(np.diff(mv.w) >= 0.0)
             assert mv.w.max() == mv.w[-1] == 2.0
             assert np.all(mv.W >= 0.0)

@@ -8,7 +8,7 @@ import pytest
 from unsharp.bounds import MAX_MAJORIZATION_DIM
 from unsharp import cli
 from unsharp.cli import main
-from unsharp.linalg import DensityMatrix
+from unsharp.linalg import validate_density
 from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
@@ -42,7 +42,7 @@ def files(tmp_path):
             "bad_povm.json",
             {"dim": 2, "effects": [povm_to_json(projective_from_basis(basis_x))["effects"][0]] * 2},
         ),
-        "mixed": write("mixed.json", state_to_json(DensityMatrix(np.eye(2) / 2))),
+        "mixed": write("mixed.json", state_to_json(validate_density(np.eye(2) / 2))),
         "ground": write("ground.json", {"dim": 2, "vector": [[1.0, 0.0], [0.0, 0.0]]}),
         # json.dumps writes NaN, which json.load reads back.
         "nan_povm": write(
@@ -158,7 +158,8 @@ class TestBounds:
         # Rank-1 projectors onto the rows of a random qubit unitary, each row
         # perturbed by 3e-9 (complex normal) and renormalized: both files pass
         # validate, but the effects' eigenvectors are orthonormal only to
-        # 1.03e-8, above TOL_ORTHONORMAL. bounds used to exit 1 with NotOrthonormal.
+        # 1.03e-8, far above basis_tol(2) = 2.5e-11. bounds used to exit 1 with
+        # NotOrthonormal, and those rows are not checked against basis_tol again.
         paths = [str(DATA / f"near_orthonormal_{side}.json") for side in "ab"]
         for path in paths:
             assert main(["validate", path, "--json"]) == 0

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from unsharp.cli import main
-from unsharp.linalg import DensityMatrix
+from unsharp.linalg import validate_density
 from unsharp.povm import mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.serialize import povm_to_json, state_to_json
 from unsharp.suites import SUITES
@@ -65,7 +65,7 @@ def _state_docs(draw):
     d = draw(st.sampled_from([2, 3]))
     if draw(st.booleans()):
         return {"dim": d, "vector": [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)}
-    return state_to_json(DensityMatrix(np.eye(d) / d))
+    return state_to_json(validate_density(np.eye(d) / d))
 
 
 @st.composite

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from unsharp.errors import NotFinite, NotHermitian, NotNormalized, NotOrthonormal, NotPositive, TraceNotOne
+from unsharp.errors import NotFinite, NotHermitian, NotOrthonormal, NotPositive, TraceNotOne
 from unsharp.linalg import (
-    DensityMatrix,
+    basis_tol,
     pure_state_density,
     require_orthonormal,
-    require_unit_vector,
     validate_density,
 )
-from unsharp.povm import make_povm
+from unsharp.povm import make_povm, projective_from_basis
 from unsharp.sampling import random_povm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,12 +68,12 @@ class TestHermitianEig:
 class TestValidateDensity:
     def test_maximally_mixed(self):
         rho = validate_density(np.eye(2) / 2)
-        assert isinstance(rho, DensityMatrix)
-        assert rho.dim == 2
+        assert isinstance(rho, np.ndarray)
+        assert rho.shape == (2, 2)
 
     def test_pure_state(self):
         rho = validate_density(np.diag([1.0, 0.0]))
-        assert np.trace(rho.matrix).real == pytest.approx(1.0)
+        assert np.trace(rho).real == pytest.approx(1.0)
 
     def test_trace_violation(self):
         with pytest.raises(TraceNotOne):
@@ -96,12 +95,17 @@ class TestValidateDensity:
     def test_wrapped_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 3.0
+            rho[0, 0] = 3.0
 
     def test_pure_state_density(self):
         psi = np.array([1, 1j]) / np.sqrt(2)
         rho = pure_state_density(psi)
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0)
+
+    def test_pure_state_density_checks_the_squared_norm(self):
+        # |psi|^2 = 1 + 1e-8: the trace that validate_density rejects.
+        with pytest.raises(TraceNotOne):
+            pure_state_density([1 + 5e-9, 0])
 
 
 class TestRequireOrthonormal:
@@ -118,11 +122,21 @@ class TestRequireOrthonormal:
         with pytest.raises(NotOrthonormal):
             require_orthonormal(skew)
 
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_tolerance_is_basis_tol(self, d):
+        # A Gram defect of 0.9 basis_tol(d) passes and builds a POVM; 1.1 times it fails.
+        basis = np.eye(d, dtype=complex)
+        basis[1, 0] = 0.9 * basis_tol(d)
+        projective_from_basis(require_orthonormal(basis))
+        basis[1, 0] = 1.1 * basis_tol(d)
+        with pytest.raises(NotOrthonormal):
+            require_orthonormal(basis)
+
     def test_rejects_nan(self):
         with pytest.raises(NotOrthonormal):
             require_orthonormal(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 def test_unit_vector_rejects_nan():
-    with pytest.raises(NotNormalized):
-        require_unit_vector(np.array([1.0, np.nan]))
+    with pytest.raises(NotFinite):
+        pure_state_density([1.0, np.nan])

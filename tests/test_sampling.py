@@ -19,8 +19,8 @@ class TestDeterminism:
     def test_same_seed_same_stream(self):
         for draw in (
             lambda seed: random_state_vector(3, seed),
-            lambda seed: random_pure_state(4, seed).matrix,
-            lambda seed: random_mixed_state(2, seed).matrix,
+            lambda seed: random_pure_state(4, seed),
+            lambda seed: random_mixed_state(2, seed),
             lambda seed: random_basis(3, seed),
             lambda seed: random_povm(2, 3, seed).effects,
         ):
@@ -41,13 +41,13 @@ class TestRandomPureState:
         rng = np.random.default_rng(7)
         for d in (2, 3, 5):
             rho = random_pure_state(d, rng)
-            assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-            assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_approaches_maximally_mixed(self):
         rng = np.random.default_rng(8)
         d, samples = 2, 100_000
-        total = random_pure_state(d, rng, size=samples).matrix.sum(axis=0)
+        total = random_pure_state(d, rng, size=samples).sum(axis=0)
         np.testing.assert_allclose(total / samples, np.eye(d) / d, atol=0.01)
 
 
@@ -56,8 +56,8 @@ class TestRandomMixedState:
         rng = np.random.default_rng(9)
         for d in (2, 3, 4):
             rho = random_mixed_state(d, rng)
-            validate_density(rho.matrix)
-            eigs = np.linalg.eigvalsh(rho.matrix)
+            validate_density(rho)
+            eigs = np.linalg.eigvalsh(rho)
             assert eigs.sum() == pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= von_neumann_entropy(rho) <= np.log2(d) + 1e-12
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unsharp.errors import CompletenessViolated, NotFinite, NotHermitian, ParseError, TraceNotOne
-from unsharp.linalg import DensityMatrix
+from unsharp.linalg import validate_density
 from unsharp.povm import mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.serialize import (
     load_povm,
@@ -65,15 +65,15 @@ class TestPovmSchema:
 
 class TestStateSchema:
     def test_matrix_round_trip(self):
-        rho = DensityMatrix(np.eye(3) / 3)
+        rho = validate_density(np.eye(3) / 3)
         again = state_from_json(state_to_json(rho))
-        np.testing.assert_allclose(again.matrix, rho.matrix)
+        np.testing.assert_allclose(again, rho)
 
     def test_vector_form(self):
         psi = np.array([1.0, 1.0j]) / np.sqrt(2)
         doc = {"dim": 2, "vector": [[float(z.real), float(z.imag)] for z in psi]}
         rho = state_from_json(doc)
-        np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-15)
+        np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-15)
 
     def test_unnormalized_vector_rejected(self):
         doc = {"dim": 2, "vector": [[1.0, 0.0], [1.0, 0.0]]}
@@ -90,10 +90,10 @@ class TestStateSchema:
             state_from_json({"dim": 2})
 
     def test_file_round_trip(self, tmp_path):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+        rho = validate_density(np.diag([0.25, 0.75]).astype(complex))
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json(rho)))
-        np.testing.assert_allclose(load_state(path).matrix, rho.matrix)
+        np.testing.assert_allclose(load_state(path), rho)
 
 
 class TestInfiniteEntries:

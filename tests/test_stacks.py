@@ -22,7 +22,7 @@ from unsharp.errors import (
     NotPositive,
     TraceNotOne,
 )
-from unsharp.linalg import DensityMatrix, validate_density
+from unsharp.linalg import validate_density
 from unsharp.povm import (
     Povm,
     amplitude_damping_povm,
@@ -44,9 +44,11 @@ from unsharp.uncertainty import (
     binary_entropy,
     device_uncertainty,
     device_uncertainty_operator,
+    f_white_noise,
     outcome_probs,
     quantum_uncertainty,
     shannon_entropy,
+    von_neumann_entropy,
 )
 
 TOL = 1e-12
@@ -205,8 +207,8 @@ class TestStackedValidationErrors:
 
     def test_validate_density_stack(self):
         good = np.stack([np.eye(2) / 2] * 3)
-        assert validate_density(good).matrix.shape == (3, 2, 2)
-        assert DensityMatrix(good).dim == 2
+        assert validate_density(good).shape == (3, 2, 2)
+        assert validate_density(good).shape[-1] == 2
         cases = [
             (NotFinite, "item 1: density matrix has", (1, 0, 0), np.inf),
             (NotHermitian, "matrix 2:", (2, 0, 1), 0.3),
@@ -238,7 +240,7 @@ class TestUncertaintyStacks:
     def test_states_against_matching_povms(self, d, rng):
         povms = random_povm(d, d + 1, rng, size=STACK)
         rho = random_mixed_state(d, rng, size=STACK)
-        pairs = list(zip(rho.matrix, povm_items(povms)))
+        pairs = list(zip(rho, povm_items(povms)))
         probs = outcome_probs(rho, povms)
         assert probs.shape == (STACK, d + 1)
         assert_stack(probs, [outcome_probs(r, p) for r, p in pairs])
@@ -254,9 +256,9 @@ class TestUncertaintyStacks:
         rho = random_pure_state(d, rng, size=(2, STACK))
         values = device_uncertainty(rho, povm)
         assert values.shape == (2, STACK)
-        assert_stack(values, [[device_uncertainty(r, povm) for r in row] for row in rho.matrix])
+        assert_stack(values, [[device_uncertainty(r, povm) for r in row] for row in rho])
         assert_stack(
-            quantum_uncertainty(rho, povm), [[quantum_uncertainty(r, povm) for r in row] for row in rho.matrix]
+            quantum_uncertainty(rho, povm), [[quantum_uncertainty(r, povm) for r in row] for row in rho]
         )
 
     def test_state_stack_against_povm_grid(self, rng):
@@ -266,7 +268,7 @@ class TestUncertaintyStacks:
         values = device_uncertainty(rho, povms)
         assert values.shape == (STACK, 4)
         assert_stack(
-            values, [[device_uncertainty(r[0], p) for p in povm_items(povms)] for r in rho.matrix]
+            values, [[device_uncertainty(r[0], p) for p in povm_items(povms)] for r in rho]
         )
 
     def test_empty_stack(self, rng):
@@ -290,6 +292,21 @@ class TestUncertaintyStacks:
     def test_binary_entropy(self):
         p = np.linspace(0.0, 1.0, 7)
         assert_stack(binary_entropy(p), [binary_entropy(float(x)) for x in p])
+
+    def test_von_neumann_entropy(self, d, rng):
+        rho = random_mixed_state(d, rng, size=(2, 3))
+        values = von_neumann_entropy(rho)
+        assert values.shape == (2, 3)
+        assert_stack(values, [[von_neumann_entropy(r) for r in row] for row in rho])
+        assert type(von_neumann_entropy(rho[0, 0])) is float
+
+    def test_f_white_noise(self):
+        p, alpha = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 7)
+        for d in (2, 5):
+            values = f_white_noise(p, alpha, d)
+            assert values.shape == (5, 7)
+            assert_stack(values, [[f_white_noise(float(x), float(a), d) for a in alpha] for x in p[:, 0]])
+        assert type(f_white_noise(0.3, 0.6, 3)) is float
 
     def test_bad_distribution_in_stack(self):
         probs = np.array([[0.5, 0.5], [0.7, 0.7]])
@@ -382,8 +399,8 @@ class TestStackedDraws:
         "draw, shape",
         [
             (lambda rng, size: random_state_vector(3, rng, size), (3,)),
-            (lambda rng, size: random_pure_state(3, rng, size).matrix, (3, 3)),
-            (lambda rng, size: random_mixed_state(3, rng, size).matrix, (3, 3)),
+            (lambda rng, size: random_pure_state(3, rng, size), (3, 3)),
+            (lambda rng, size: random_mixed_state(3, rng, size), (3, 3)),
             (lambda rng, size: random_basis(3, rng, size), (3, 3)),
             (lambda rng, size: random_povm(3, 2, rng, size).effects, (2, 3, 3)),
         ],
@@ -395,8 +412,8 @@ class TestStackedDraws:
         assert np.shape(draw(np.random.default_rng(1), 0)) == (0, *shape)
 
     def test_stacked_states_are_valid(self):
-        validate_density(random_mixed_state(4, 3, size=50).matrix)
-        validate_density(random_pure_state(4, 3, size=50).matrix)
+        validate_density(random_mixed_state(4, 3, size=50))
+        validate_density(random_pure_state(4, 3, size=50))
         bases = random_basis(4, 3, size=50)
         np.testing.assert_allclose(bases.conj() @ bases.swapaxes(-1, -2), np.broadcast_to(np.eye(4), (50, 4, 4)), atol=1e-10)
 
@@ -431,7 +448,7 @@ class TestStackedDraws:
         best = sampled_min(objective, 2, 300, 5)
         assert calls == [(300, 2, 2)]
         rho = random_pure_state(2, np.random.default_rng(5), size=300)
-        assert best == min(device_uncertainty(r, povm) for r in rho.matrix)
+        assert best == min(device_uncertainty(r, povm) for r in rho)
 
 
 class TestSuiteResult:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unsharp.errors import DimensionMismatch
-from unsharp.linalg import TOL_PSD, TOL_RECONSTRUCT, DensityMatrix, pure_state_density, validate_density
+from unsharp.linalg import TOL_PSD, TOL_RECONSTRUCT, pure_state_density, validate_density
 from unsharp.povm import (
     QubitPovmParams,
     amplitude_damping_povm,
@@ -52,7 +52,7 @@ class TestOutcomeProbs:
     def test_mixed_state_trace_linearity(self):
         povm = qubit_povm(QubitPovmParams(0.8, np.array([0.0, 0.0, 0.4])))
         t = float(np.trace(povm.effects[0]).real)
-        probs = outcome_probs(DensityMatrix(np.eye(2) / 2), povm)
+        probs = outcome_probs(validate_density(np.eye(2) / 2), povm)
         np.testing.assert_allclose(probs, [t / 2, 1 - t / 2], atol=1e-14)
 
     def test_white_noise(self):
@@ -62,7 +62,7 @@ class TestOutcomeProbs:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            outcome_probs(DensityMatrix(np.eye(3) / 3), projective_from_basis(np.eye(2)))
+            outcome_probs(validate_density(np.eye(3) / 3), projective_from_basis(np.eye(2)))
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_largest_accepted_completeness_residual(self, d):
@@ -136,7 +136,7 @@ class TestDeviceUncertainty:
         rng = np.random.default_rng(40 + d)
         for _ in range(20):
             povm = random_povm(d, int(rng.integers(2, 7)), rng)
-            rho = random_mixed_state(d, rng).matrix
+            rho = random_mixed_state(d, rng)
             expected = per_effect_device_uncertainty(rho, povm.effects)
             assert device_uncertainty(rho, povm) == pytest.approx(expected, abs=1e-12)
 
@@ -169,7 +169,7 @@ class TestDeviceUncertainty:
             for _ in range(10):
                 rho = random_mixed_state(3, rng)
                 weight = float(
-                    (basis[1].conj() @ rho.matrix @ basis[1] + basis[2].conj() @ rho.matrix @ basis[2]).real
+                    (basis[1].conj() @ rho @ basis[1] + basis[2].conj() @ rho @ basis[2]).real
                 )
                 expected = weight * binary_entropy(e)
                 assert device_uncertainty(rho, povm) == pytest.approx(expected, abs=1e-12)
@@ -183,7 +183,7 @@ class TestDeviceUncertainty:
             d = int(rng.integers(2, 5))
             povm = random_povm(d, int(rng.integers(2, 5)), rng)
             rho = random_mixed_state(d, rng)
-            via_operator = float(np.trace(rho.matrix @ device_uncertainty_operator(povm)).real)
+            via_operator = float(np.trace(rho @ device_uncertainty_operator(povm)).real)
             assert device_uncertainty(rho, povm) == pytest.approx(via_operator, abs=1e-12)
 
 
@@ -239,7 +239,7 @@ class TestQuantumUncertainty:
 
     def test_white_noise_split(self):
         povm = white_noise_povm(np.eye(2), 0.5)
-        rho = DensityMatrix(np.eye(2) / 2)
+        rho = validate_density(np.eye(2) / 2)
         assert shannon_entropy(outcome_probs(rho, povm)) == pytest.approx(1.0)
         assert device_uncertainty(rho, povm) == pytest.approx(0.811278, abs=1e-6)
         assert quantum_uncertainty(rho, povm) == pytest.approx(1.0 - H_THREE_QUARTERS, abs=1e-12)
@@ -269,7 +269,7 @@ class TestWhiteNoiseKernel:
             alpha = float(rng.uniform())
             rho = random_mixed_state(d, rng)
             povm = white_noise_povm(basis, alpha)
-            populations = np.einsum("ni,ij,nj->n", basis.conj(), rho.matrix, basis).real
+            populations = np.einsum("ni,ij,nj->n", basis.conj(), rho, basis).real
             total = sum(f_white_noise(float(np.clip(p, 0, 1)), alpha, d) for p in populations)
             assert quantum_uncertainty(rho, povm) == pytest.approx(total, abs=1e-10)
 
@@ -377,11 +377,11 @@ class TestDegeneracyIndependence:
             rotated[:-1] = rotation @ rotated[:-1]
             manual = 0.0
             for vec, val in zip(rotated, values):
-                weight = float((vec.conj() @ rho.matrix @ vec).real)
+                weight = float((vec.conj() @ rho @ vec).real)
                 manual += weight * float(entropy_term(val))
             partial_reference = 0.0
             for vec, val in zip(vectors, values):
-                weight = float((vec.conj() @ rho.matrix @ vec).real)
+                weight = float((vec.conj() @ rho @ vec).real)
                 partial_reference += weight * float(entropy_term(val))
             assert manual == pytest.approx(partial_reference, abs=1e-10)
         assert device_uncertainty(rho, povm) == pytest.approx(reference, abs=1e-12)
