@@ -188,6 +188,7 @@ def validate_density(m) -> np.ndarray:
     violation; for a stack the message names the first failing matrix in C
     order.
     """
+    given = m
     m = require_hermitian(require_finite(_as_square_matrix(m), "density matrix"))
     lowest = np.linalg.eigvalsh(m)[..., 0]
     bad = lowest < -TOL_PSD
@@ -197,7 +198,8 @@ def validate_density(m) -> np.ndarray:
     with np.errstate(over="ignore"):
         trace = np.trace(m, axis1=-2, axis2=-1)
     require_unit_trace(trace)
-    return _frozen(m)
+    # Freezing the caller's own array would make it read-only for the caller too.
+    return _frozen(m.copy() if m is given else m)
 
 
 def require_unit_trace(trace) -> None:

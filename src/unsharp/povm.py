@@ -84,7 +84,8 @@ class Povm:
             raise CompletenessViolated(
                 f"{item_prefix('POVM', i)}effects sum to identity with max residual {residual[i]:.3e} > {TOL_RECONSTRUCT:.1e}"
             )
-        object.__setattr__(self, "effects", _frozen(effects))
+        # Freezing the caller's own array would make it read-only for the caller too.
+        object.__setattr__(self, "effects", _frozen(effects.copy() if effects is self.effects else effects))
         object.__setattr__(self, "eigenvalues", _frozen(np.clip(eigenvalues, 0.0, 1.0)))
         object.__setattr__(self, "eigenvectors", _frozen(eigenvectors))
 
@@ -126,12 +127,48 @@ def _projectors(basis: np.ndarray) -> np.ndarray:
     return np.einsum("...ni,...nj->...nij", basis, basis.conj())
 
 
+def _others_then_own(d: int) -> np.ndarray:
+    """Row i lists the basis rows other than i, then i: the eigenvector order
+    of effect i when its own row carries the largest eigenvalue."""
+    return (np.arange(d)[:, None] + np.arange(1, d + 1)) % d
+
+
+# Eigenvector rows of the amplitude-damping effects E_0, E_1, E_2 (below),
+# ordered by ascending eigenvalue: (e, e, 1), (0, 0, 1 - e), (0, 0, 1 - e).
+_DAMPING_ORDER = _frozen(np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]]))
+
+
+def _stated(effects: np.ndarray, eigenvalues: np.ndarray, basis: np.ndarray, order: np.ndarray) -> Povm:
+    """The Povm of effects diagonal in the rows of a checked basis, its
+    eigendecomposition stated instead of computed.
+
+    Column k of eigenvector block i is row ``order[i, k]`` of the basis and
+    ``eigenvalues[..., i, k]`` (ascending in k, within [0, 1]) its eigenvalue.
+    The builders below reach here only with a basis that
+    ``require_orthonormal`` accepted and noise levels in [0, 1], and
+    ``basis_tol`` shows that ``Povm`` accepts every such output, so its checks
+    and ``eigh`` are skipped. For a basis orthonormal only to within
+    ``basis_tol(d)`` the stated spectrum is off by at most d times that.
+    """
+    povm = object.__new__(Povm)
+    vectors = basis[..., order, :].swapaxes(-1, -2)
+    object.__setattr__(povm, "effects", _frozen(effects))
+    object.__setattr__(povm, "eigenvalues", _frozen(np.broadcast_to(eigenvalues, effects.shape[:-1])))
+    object.__setattr__(povm, "eigenvectors", _frozen(np.broadcast_to(vectors, effects.shape)))
+    return povm
+
+
 def projective_from_basis(basis) -> Povm:
     """Rank-1 projector POVM |a_i><a_i| in basis order (a sharp measurement).
 
-    A (..., d, d) stack of bases gives a stack of POVMs.
+    A (..., d, d) stack of bases gives a stack of POVMs. The spectrum of
+    each effect is stated, not computed: 1 on its own row, 0 on the others.
     """
-    return Povm(_projectors(require_orthonormal(basis)))
+    basis = require_orthonormal(basis)
+    d = basis.shape[-1]
+    spectrum = np.zeros(d)
+    spectrum[-1] = 1.0
+    return _stated(_projectors(basis), spectrum, basis, _others_then_own(d))
 
 
 @dataclass(frozen=True)
@@ -182,6 +219,7 @@ def white_noise_povm(basis, alpha) -> Povm:
 
     Each effect is alpha |a_i><a_i| + (1 - alpha) I / d, so its spectrum is
     alpha + (1 - alpha) / d once and (1 - alpha) / d with multiplicity d - 1.
+    That spectrum is stated, with the basis rows as eigenvectors, not computed.
 
     Parameters
     ----------
@@ -193,9 +231,14 @@ def white_noise_povm(basis, alpha) -> Povm:
         is a stack of POVMs of the broadcast shape.
     """
     basis = require_orthonormal(basis)
-    a = require_unit_interval(alpha, "alpha")[..., None, None, None]
+    alpha = require_unit_interval(alpha, "alpha")
     d = basis.shape[-1]
-    return Povm(a * _projectors(basis) + (1.0 - a) * np.eye(d) / d)
+    a = alpha[..., None, None, None]
+    effects = a * _projectors(basis) + (1.0 - a) * np.eye(d) / d
+    noise = (1.0 - alpha) / d
+    spectrum = np.repeat(noise[..., None], d, axis=-1)
+    spectrum[..., -1] += alpha
+    return _stated(effects, spectrum[..., None, :], basis, _others_then_own(d))
 
 
 def amplitude_damping_povm(basis, e) -> Povm:
@@ -209,15 +252,23 @@ def amplitude_damping_povm(basis, e) -> Povm:
         E_2 = (1 - e) |x_2><x_2|
 
     Completeness holds exactly for every e in [0, 1]. A (..., 3, 3) stack of
-    bases and an array e broadcast like ``white_noise_povm``.
+    bases and an array e broadcast like ``white_noise_povm``. The spectra,
+    (e, e, 1), (0, 0, 1 - e) and (0, 0, 1 - e) on the basis rows, are stated,
+    not computed.
     """
     basis = require_orthonormal(basis)
     if basis.shape[-1] != 3:
         raise DimensionMismatch(f"amplitude damping model needs a d=3 basis, got d={basis.shape[-1]}")
-    x = require_unit_interval(e, "transition probability e")[..., None, None]
+    e = require_unit_interval(e, "transition probability e")
+    x = e[..., None, None]
     p = _projectors(basis)
     ground, first, second = p[..., 0, :, :], p[..., 1, :, :], p[..., 2, :, :]
-    return Povm(np.stack([ground + x * first + x * second, (1.0 - x) * first, (1.0 - x) * second], axis=-3))
+    effects = np.stack([ground + x * first + x * second, (1.0 - x) * first, (1.0 - x) * second], axis=-3)
+    spectrum = np.zeros(e.shape + (3, 3))
+    spectrum[..., 0, :2] = e[..., None]
+    spectrum[..., 0, 2] = 1.0
+    spectrum[..., 1:, 2] = (1.0 - e)[..., None]
+    return _stated(effects, spectrum, basis, _DAMPING_ORDER)
 
 
 def convex_combination(a: Povm, b: Povm, p) -> Povm:

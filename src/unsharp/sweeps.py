@@ -40,6 +40,11 @@ _WIDTH_FLOOR = 1e-12
 _ROUNDOFF_REL = 16 * np.finfo(float).eps
 # ITP truncation coefficient, in units of 1 / (grid interval).
 _ITP_K1 = 0.01
+# Each refinement step also probes the rounding cell of its regula-falsi
+# estimate, at this distance either side of the cell's center: inside the
+# cell by 1e-9, far above the roundoff of a point in [0, pi], so both edges
+# round to the cell's value and a root between them settles its bracket.
+_CELL_EDGE = 0.49999 * 10.0**-CROSSOVER_DECIMALS
 # Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
 # _GRID_BLOCK points, so the POVM stacks, temporaries and text of one block
 # stay a few MB; what grows is the column table, filled in place block by
@@ -175,19 +180,26 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     where the difference is exactly zero (degenerate equalities at grid
     endpoints) are not crossings, nor are brackets whose ends both differ by
     roundoff only (within ``_ROUNDOFF_REL`` of the larger column). The
-    brackets of all differences are refined together by ITP (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020), starting from the values in ``table``:
-    each step is one ``columns_of`` call on one probe point per open
-    bracket, and each bracket reads its own difference from the result.
+    brackets of all differences are refined together, starting from the
+    values in ``table``: each step is one ``columns_of`` call on three probe
+    points per open bracket, and each bracket reads its own difference from
+    the result. The probes are the ITP point (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) and the two edges of the rounding cell that holds the
+    regula-falsi estimate, each just inside the cell; an edge outside the
+    open bracket is replaced by the ITP point. When the root
+    lies in that cell, one call settles the bracket. The new bracket is the
+    first sign change among the bracket's ends and its probes.
 
     A bracket stops when both of its ends round to the same value, which it
     reports. It also stops when a probe's difference is exactly zero,
     reporting that probe rounded, and when it is narrower than
     ``_WIDTH_FLOOR`` (its root then lies within that width of a rounding
-    boundary), reporting its rounded midpoint. Worst case: every probe lies
-    close enough to its bracket's midpoint that after m + 1 calls a bracket
-    is no wider than bisection leaves it after m, so it reaches the width
-    floor in at most one call more than bisection.
+    boundary), reporting its rounded midpoint. Worst case: every ITP point
+    lies close enough to its bracket's midpoint that after m + 1 calls a
+    bracket refined by ITP points alone is no wider than bisection leaves it
+    after m. The new bracket always lies on one side of the ITP point, within
+    the bracket ITP alone would keep, so the same bound holds and a bracket
+    reaches the width floor in at most one call more than bisection.
     Each label gets its results in grid order, without duplicates.
     """
     xs, pairs = np.asarray(xs, dtype=float), list(differences.values())
@@ -225,13 +237,29 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
         radius = np.maximum(budget[j] - width / 2.0, 0.0)
         probe = np.where(np.abs(probe - mid) <= radius, probe, mid - toward * radius)
         budget[j] /= 2.0
-        f = difference_rows(columns_of(probe))[owner[j], np.arange(j.size)]
-        zero = f == 0.0
-        move_lo = (f < 0.0) == (fa < 0.0)
-        lo[j] = np.where(zero | move_lo, probe, a)
-        hi[j] = np.where(zero | ~move_lo, probe, b)
-        f_lo[j] = np.where(move_lo, f, fa)
-        f_hi[j] = np.where(move_lo, fb, f)
+        # The truncation moves the estimate by up to _ITP_K1 of a grid
+        # interval, more than a cell, so the cell is the untruncated estimate's.
+        cell = np.round(falsi, CROSSOVER_DECIMALS)
+        edges = np.column_stack([cell - _CELL_EDGE, cell + _CELL_EDGE])
+        inside = (a[:, None] < edges) & (edges < b[:, None]) & (edges != probe[:, None])
+        # Each bracket's three probes are contiguous in the call: the ITP
+        # point, then the lower and upper cell edges. An edge outside the open
+        # bracket is replaced by the ITP point and takes its value, so it
+        # changes nothing below.
+        x = np.column_stack([probe, np.where(inside, edges, probe[:, None])])
+        f = difference_rows(columns_of(x.ravel()))[np.repeat(owner[j], 3), np.arange(x.size)].reshape(x.shape)
+        f[:, 1:] = np.where(inside, f[:, 1:], f[:, :1])
+        # Candidate ends: a, the three probes and b. The first sign change in
+        # x order: the new upper end is the leftmost candidate that is zero
+        # or has the sign opposite to fa's (b at the latest), the new lower
+        # end the rightmost candidate left of it.
+        x, f = np.column_stack([a, x, b]), np.column_stack([fa, f, fb])
+        crossed = (f == 0.0) | ((f < 0.0) != (fa < 0.0)[:, None])
+        rows = np.arange(j.size)
+        upper = np.argmin(np.where(crossed, x, np.inf), axis=1)
+        lower = np.argmax(np.where(~crossed & (x < x[rows, upper][:, None]), x, -np.inf), axis=1)
+        hi[j], f_hi[j] = x[rows, upper], f[rows, upper]
+        lo[j], f_lo[j] = np.where(f_hi[j] == 0.0, hi[j], x[rows, lower]), f[rows, lower]
         active[j] = unsettled(lo[j], hi[j])
     found = np.round((lo + hi) / 2.0, CROSSOVER_DECIMALS)
     return {label: tuple(dict.fromkeys(found[owner == k].tolist())) for k, label in enumerate(differences)}

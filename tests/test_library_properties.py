@@ -180,10 +180,20 @@ def test_accepted_bases_build_every_povm(d, seed, factor):
         basis = require_orthonormal(basis)
     except NotOrthonormal:
         return
-    projective_from_basis(basis)
-    white_noise_povm(basis, np.linspace(0.0, 1.0, 11))
+    levels = np.linspace(0.0, 1.0, 11)
+    built = [projective_from_basis(basis), white_noise_povm(basis, levels)]
     if d == 3:
-        amplitude_damping_povm(basis, np.linspace(0.0, 1.0, 11))
+        built.append(amplitude_damping_povm(basis, levels))
+    # The builders state their spectra and skip Povm's checks, so their
+    # effects go through Povm here. A Gram defect t moves each stated
+    # eigenvalue, and the stated decomposition's sum, by at most d t.
+    slack = 1e-12 + d * abs(basis.conj() @ basis.T - np.eye(d)).max()
+    for povm in built:
+        numeric = Povm(povm.effects)
+        np.testing.assert_allclose(povm.eigenvalues, numeric.eigenvalues, rtol=0, atol=slack)
+        v = povm.eigenvectors
+        rebuilt = np.einsum("...nk,...nik,...njk->...nij", povm.eigenvalues, v, v.conj())
+        np.testing.assert_allclose(rebuilt, povm.effects, rtol=0, atol=slack)
 
 
 @EDGE

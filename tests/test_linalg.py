@@ -97,6 +97,13 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho[0, 0] = 3.0
 
+    def test_caller_array_stays_writeable(self):
+        m = np.eye(2) / 2 + 0j
+        rho = validate_density(m)
+        assert m.flags.writeable and not rho.flags.writeable
+        m[0, 0] = 3.0
+        assert rho[0, 0] == 0.5
+
     def test_pure_state_density(self):
         psi = np.array([1, 1j]) / np.sqrt(2)
         rho = pure_state_density(psi)

@@ -22,7 +22,7 @@ from unsharp.povm import (
     qubit_povm,
     white_noise_povm,
 )
-from unsharp.sampling import random_povm
+from unsharp.sampling import random_basis, random_povm
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -103,6 +103,13 @@ class TestMakePovm:
         povm = make_povm([np.eye(2) / 2, np.eye(2) / 2])
         with pytest.raises(ValueError):
             povm.effects[0, 0, 0] = 9.0
+
+    def test_caller_effects_stay_writeable(self):
+        effects = np.stack([np.eye(2) / 2, np.eye(2) / 2]) + 0j
+        povm = Povm(effects)
+        assert effects.flags.writeable and not povm.effects.flags.writeable
+        effects[0, 0, 0] = 9.0
+        assert povm.effects[0, 0, 0] == 0.5
 
 
 class TestProjectiveFromBasis:
@@ -295,6 +302,23 @@ class TestRevalidation:
             again = make_povm(list(povm.effects))
             assert isinstance(again, Povm)
             assert again.n_outcomes == povm.n_outcomes
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stated_spectra_match_eigh(self, d):
+        # The builders state each effect's spectrum and eigenvectors instead
+        # of computing them: eigh on their effects agrees, and the stated
+        # decomposition rebuilds the effects, for a (3, 2) stack of POVMs
+        # whose noise levels include both ends of [0, 1].
+        bases = random_basis(d, d, size=2)
+        levels = np.array([[0.0], [0.37], [1.0]])
+        povms = [projective_from_basis(bases), white_noise_povm(bases, levels)]
+        if d == 3:
+            povms.append(amplitude_damping_povm(bases, levels))
+        for povm in povms:
+            np.testing.assert_allclose(povm.eigenvalues, Povm(povm.effects).eigenvalues, rtol=0, atol=1e-12)
+            v = povm.eigenvectors
+            rebuilt = np.einsum("...nk,...nik,...njk->...nij", povm.eigenvalues, v, v.conj())
+            np.testing.assert_allclose(rebuilt, povm.effects, rtol=0, atol=1e-12)
 
     def test_cached_spectra_reconstruct_effects(self):
         basis_x, basis_z = mub_fourier_basis(3)

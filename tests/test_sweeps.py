@@ -9,7 +9,7 @@ from oracles import crossing_roots
 from unsharp import bounds, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
 from unsharp.povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
-from unsharp.uncertainty import f_white_noise, shannon_entropy
+from unsharp.uncertainty import binary_entropy, f_white_noise, shannon_entropy
 from unsharp.sweeps import (
     CROSSOVER_DECIMALS,
     DAMPING_COLUMNS,
@@ -144,6 +144,14 @@ class TestDampingSweep:
         assert len(crossings) == 1
         assert abs(crossings[0] - 0.564) < 0.005
 
+    def test_d_ad_closed_form(self):
+        # On the d = 3 Fourier pair, D_AD(e) = (1 - 1/sqrt 3) H_bin(e). From the
+        # stated damping spectra it holds to an ulp or two, and exactly at e = 0.
+        result = run_sweep(damping_config(steps=101))
+        e, d_ad = result.table["e"], result.table["D_AD"]
+        np.testing.assert_allclose(d_ad, (1.0 - 1.0 / np.sqrt(3.0)) * binary_entropy(e), rtol=0, atol=1e-15)
+        assert d_ad[0] == 0.0
+
     def test_symmetry_of_pair_bound(self):
         result = run_sweep(damping_config(steps=21))
         d_ad = result.table["D_AD"]
@@ -152,10 +160,10 @@ class TestDampingSweep:
 
 # --- Per-row reference -------------------------------------------------------
 # One grid point per call and one bracket at a time, with find_crossings' ITP
-# step written for scalars: the reference that the stacked grid and
-# refinement must match. Each difference is refined through the same row
-# function as the grid. Plain bisection with the same stop is the reference
-# for the results and call counts of the refinement.
+# step, without its rounding-cell probes, written for scalars: the reference
+# that the stacked grid and refinement must match. Each difference is refined
+# through the same row function as the grid. Plain bisection with the same
+# stop is the reference for the results and call counts of the refinement.
 
 
 def reference_theta_row(theta, eta, zeta):
@@ -208,8 +216,9 @@ def reference_bisect(diff, lo, hi):
 
 
 def reference_itp(diff, lo, hi):
-    """find_crossings' refinement of one bracket, one scalar probe per call:
-    the crossing it reports and its number of diff calls after the grid."""
+    """find_crossings' ITP refinement of one bracket, one scalar probe (the
+    ITP point) per call: the crossing it reports and its number of diff calls
+    after the grid."""
     f_lo, f_hi, calls = diff(lo), diff(hi), 0
     k1, budget = sweeps._ITP_K1 / (hi - lo), hi - lo
     while unsettled(lo, hi):
@@ -290,12 +299,13 @@ def one_difference(xs, f, calls=None):
 
 def calls_per_bracket(xs, calls):
     """{grid index i: calls that probed (xs[i], xs[i + 1])}, checking that no
-    call probes one interval twice."""
+    call probes one interval more than three times (the ITP point and the
+    two edges of a rounding cell)."""
     counts = Counter()
     for points in calls:
-        intervals = (np.searchsorted(xs, points, side="right") - 1).tolist()
-        assert len(set(intervals)) == len(intervals)
-        counts.update(intervals)
+        probes = Counter((np.searchsorted(xs, points, side="right") - 1).tolist())
+        assert max(probes.values()) <= 3
+        counts.update(probes.keys())
     return counts
 
 
@@ -306,7 +316,7 @@ def sin3(x):
 def assert_refines_like_bisection(xs, f):
     """find_crossings of f(x) - 0 reports what plain bisection with the same
     stop reports, in at most one call more per bracket, every open bracket
-    refined in each call. Returns the crossings."""
+    probed three times in each call. Returns the crossings."""
     calls = []
     found = one_difference(xs, f, calls)
     brackets = reference_brackets(xs, f(xs), f)
@@ -315,7 +325,7 @@ def assert_refines_like_bisection(xs, f):
     assert set(counts) <= set(brackets)
     for i, (_, bisection_calls) in brackets.items():
         assert counts[i] <= bisection_calls + 1
-    assert calls[0].shape == (len(brackets),)
+    assert calls[0].shape == (3 * len(brackets),)
     assert len(calls) == max(counts.values())
     return found
 
@@ -353,15 +363,17 @@ class TestFindCrossings:
         xs = np.array([0.0, 0.25, 0.75, 1.0])
 
         def f(x):
-            # Linear on [0.25, 0.75], whose first probe is its midpoint and root 0.5.
+            # Linear on [0.25, 0.75], whose ITP point is its midpoint and root 0.5.
             return np.where(x <= 0.75, x - 0.5, 0.8 - x**2)
 
         calls = []
         found = one_difference(xs, f, calls)
         assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8944)
-        # The first bracket ends at its first probe; the second goes on alone.
-        assert calls[0].shape == (2,) and calls[0][0] == 0.5
-        assert len(calls) > 1 and all(points.shape == (1,) for points in calls[1:])
+        # The first bracket ends at its ITP point, between its two cell edges,
+        # which do not end it; the second goes on alone.
+        assert calls[0].shape == (6,) and calls[0][0] == 0.5
+        assert calls[0][1] < 0.5 < calls[0][2]
+        assert len(calls) > 1 and all(points.shape == (3,) for points in calls[1:])
 
     def test_roundoff_difference_is_not_a_crossing(self):
         # Two columns equal up to an ulp or two: their difference changes
@@ -400,8 +412,9 @@ class TestFindCrossings:
         assert found["c2"] == reference_crossings(xs, -table["c2"], lambda x: -functions["c2"](x))
         assert found["flat"] == ()
         assert len(found["s3"]) == len(found["c2"]) == 2
-        # The four brackets of both crossing differences share every call.
-        assert calls[0].shape == (4,)
+        # The four brackets of both crossing differences share every call,
+        # three probes each.
+        assert calls[0].shape == (12,)
         assert len(calls) == max(calls_per_bracket(xs, calls).values())
 
 
@@ -524,6 +537,7 @@ class TestSweepWork:
         _count_calls(monkeypatch, sweeps, "white_noise_povm", counts)
         _count_calls(monkeypatch, sweeps, "_damping_columns", counts, shapes)
         _count_calls(monkeypatch, Povm, "__post_init__", counts)
+        _count_calls(monkeypatch, np.linalg, "eigh", counts)
         real_factory = sweeps._theta_columns_of
 
         def factory(*args):
@@ -566,18 +580,20 @@ class TestSweepWork:
         assert all(len(points) == 2 for points in found.values())
         # One grid call over all 181 angles, no call per grid row.
         assert shapes[0] == (steps,)
-        # Each call refines every open bracket of every difference; all six
-        # are correctly rounded within 6 calls.
-        assert refinement[0] == (6,)
+        # Each call probes every open bracket of every difference three times;
+        # all six are correctly rounded within 6 calls.
+        assert refinement[0] == (18,)
         assert len(refinement) <= 6
         assert counts["_theta_columns_of"] == 1
         assert counts["_theta_columns"] == 1 + len(refinement)
         assert counts["_majorization"] == counts["coles_bound"] == 1 + len(refinement)
         assert delta["_majorization"] == delta["coles_bound"] == len(refinement)
         # The sigma_z side and both D_WN values are built once per sweep; each
-        # column call constructs one POVM, the spin side.
-        assert counts["white_noise_povm"] == counts["__post_init__"] == 1 + counts["_theta_columns"]
-        assert delta["white_noise_povm"] == delta["__post_init__"] == len(refinement)
+        # column call builds one POVM, the spin side, from its stated
+        # spectrum: no Povm validation and no eigh.
+        assert counts["white_noise_povm"] == 1 + counts["_theta_columns"]
+        assert delta["white_noise_povm"] == len(refinement)
+        assert counts["__post_init__"] == counts["eigh"] == 0
         assert counts["device_uncertainty_white_noise"] == 2
         assert delta["device_uncertainty_white_noise"] == 0
 
@@ -586,7 +602,7 @@ class TestSweepWork:
         result = run_sweep(theta_config(1.0, 1.0, steps=181))
         ((refinement, _, found),) = searches
         assert found == result.crossovers
-        assert refinement[0] == (len(found["B2-B1"]),) == (2,)
+        assert refinement[0] == (3 * len(found["B2-B1"]),) == (6,)
         assert len(refinement) <= 6
 
     def test_damping_sweep(self, work):
@@ -600,6 +616,19 @@ class TestSweepWork:
         assert len(refinement) <= 4
         assert counts["_damping_columns"] == 1 + len(refinement)
         assert delta["_damping_columns"] == delta["coles_bound"] == len(refinement)
+        # Both damping POVMs of every call come from their stated spectra.
+        assert counts["__post_init__"] == counts["eigh"] == 0
+
+    @pytest.mark.parametrize(
+        "config", [damping_config(steps=101), theta_config(1.0, 1.0, steps=181)], ids=["damping", "sharp-theta"]
+    )
+    def test_default_sweeps_settle_in_two_calls(self, work, config):
+        # Each crossing of these default sweeps lies in the rounding cell of
+        # its first or second regula-falsi estimate.
+        _, _, searches = work
+        run_sweep(config)
+        ((refinement, _, _),) = searches
+        assert 1 <= len(refinement) <= 2
 
     def test_grid_in_blocks(self, work, monkeypatch):
         counts, shapes, searches = work
