@@ -5,7 +5,9 @@ norm) and its improvement, the device uncertainty minimized over all states.
 Pair bounds: the effect-sandwich bound -log2 C, ``basis_pair_bounds`` for
 two bases (the largest-overlap bound, B1, H(W) / Q(W) / B2 and the total
 white-noise device uncertainty), and the minimized pair device uncertainty
-with its amplitude-damping closed form.
+with its amplitude-damping closed form. For the white-noise POVMs of two
+bases, -log2 C also follows from their overlap matrix alone, which is how
+the angle sweep takes it.
 
 Every bound except ``pair_bound_report`` broadcasts over leading stack axes
 of its POVMs, bases and noise levels, returning a Python float for unstacked
@@ -137,6 +139,37 @@ def coles_bound(a: Povm, b: Povm):
     """
     require_same_dim(a, b)
     return _neg_log2(np.minimum(_sandwiched_max(a, b), _sandwiched_max(b, a)))
+
+
+def _white_noise_sandwiched_max(v: np.ndarray, core, wrap) -> np.ndarray:
+    """``_sandwiched_max`` of white-noise POVMs from their overlap matrices.
+
+    With C_i = core |c_i><c_i| + (1 - core)/d I, W_j = wrap |w_j><w_j| +
+    (1 - wrap)/d I and v[..., i, j] = <c_i|w_j> or its conjugate, the matrix
+    of sum_j W_j C_i W_j in the w basis is, up to a conjugation that keeps its
+    spectrum, wrap^2 core diag_j |v_ij|^2 + core (1 - wrap^2)/d v_i v_i^dagger
+    + c I with c = (1 - core)/d (wrap^2 + (1 - wrap^2)/d). The two terms
+    before c I are PSD, so the norm is c plus their top eigenvalue.
+    """
+    d = v.shape[-1]
+    core, wrap = core[..., None, None, None], wrap[..., None, None, None]
+    # (..., i, j, k): the rank-1 term of row i, then its diagonal term.
+    gram = (core * (1.0 - wrap**2) / d) * (v[..., :, :, None] * v.conj()[..., :, None, :])
+    diagonal = np.arange(d)
+    gram[..., diagonal, diagonal] += (wrap**2 * core)[..., 0] * (v.real**2 + v.imag**2)
+    c = (1.0 - core) / d * (wrap**2 + (1.0 - wrap**2) / d)
+    return c[..., 0, 0, 0] + _top_gram_eigenvalue(gram[..., None])
+
+
+def _white_noise_coles(u: np.ndarray, alpha, beta):
+    """``coles_bound`` of the white-noise POVMs of two bases at noise levels
+    alpha and beta, from their overlap matrices u (..., d, d), without
+    forming either POVM. Each side's norm is the top eigenvalue of a d x d
+    Gram matrix per effect, closed form at d = 2; alpha and beta, already
+    checked, broadcast against the stack."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    sides = _white_noise_sandwiched_max(u, alpha, beta), _white_noise_sandwiched_max(u.swapaxes(-1, -2), beta, alpha)
+    return _neg_log2(np.minimum(*sides))
 
 
 def _overlaps(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:

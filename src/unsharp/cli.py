@@ -127,14 +127,17 @@ def _sweep_config(args) -> SweepConfig:
             return None if value is None and default is None else convert(value, key)
 
         theta = args.kind == "theta"
+        noise = {key: setting(key, None) for key in ("eta", "zeta")} if theta else {}
+        for key, value in noise.items():
+            if value is None:
+                raise ValueError(f"theta sweep needs {key} (--{key} or config file)")
         sweep = SweepConfig(
             kind=args.kind,
             start=setting("start", 0.0),
             stop=setting("stop", float(np.pi) if theta else 1.0),
             steps=setting("steps", 181 if theta else 101, json_int),
-            eta=setting("eta", None) if theta else None,
-            zeta=setting("zeta", None) if theta else None,
             out=setting("out", None, _path),
+            **noise,
         )
         if sweep.out is None:
             raise ValueError("an output path is required (--out or config file)")

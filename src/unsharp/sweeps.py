@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds
 from .errors import ConfigError
 from .linalg import TOL_ANGLE, _frozen, require_unit_interval
-from .povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
+from .povm import amplitude_damping_povm, mub_fourier_basis
 
 THETA_COLUMNS = ("theta", "B1", "B2", "logC", "D_WN", "HW", "QW")
 DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
@@ -269,19 +269,20 @@ def _theta_columns_of(eta: float, zeta: float) -> Callable[[np.ndarray], dict[st
     """The angle sweep's column function at noise levels eta, zeta.
 
     It maps (k,) angles theta to every THETA_COLUMNS value (and mu) as (k,)
-    arrays. The sigma_z side, its white-noise POVM, both white-noise device
-    uncertainties and min(eta, zeta) do not depend on theta and are built
-    here once; each call builds only the spin side. The spin bases are
-    orthonormal by construction and go to the pair kernel unchecked.
+    arrays. Both white-noise device uncertainties and min(eta, zeta) do not
+    depend on theta and are computed here once. Each call forms the overlap
+    matrices of the spin bases with sigma_z once, and takes every column from
+    them: -log2 C of the two white-noise POVMs through the white-noise
+    kernel, so a call builds no POVM and runs no eigensolver. The spin bases
+    are orthonormal by construction and go to the kernels unchecked.
     """
-    fixed = white_noise_povm(_Z_BASIS, zeta)
     d_eta, d_zeta = (bounds.device_uncertainty_white_noise(level, 2) for level in (eta, zeta))
     noisier = min(eta, zeta)
 
     def columns_of(theta: np.ndarray) -> dict[str, np.ndarray]:
-        basis = spin_basis(theta)
-        columns = bounds._pair_bounds(bounds._overlaps(basis, _Z_BASIS), d_eta, d_zeta, noisier)
-        columns.update(theta=theta, logC=bounds.coles_bound(white_noise_povm(basis, eta), fixed))
+        u = bounds._overlaps(spin_basis(theta), _Z_BASIS)
+        columns = bounds._pair_bounds(u, d_eta, d_zeta, noisier)
+        columns.update(theta=theta, logC=bounds._white_noise_coles(u, eta, zeta))
         return columns
 
     return columns_of

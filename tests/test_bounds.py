@@ -198,6 +198,51 @@ class TestColesKernel:
         np.testing.assert_allclose(coles_bound(stacked, fixed), coles_oracle(stacked, fixed), rtol=0, atol=1e-14)
 
 
+class TestWhiteNoiseColesKernel:
+    """-log2 C of two white-noise POVMs from the overlap matrix equals the
+    general sandwich path on the POVMs themselves."""
+
+    @staticmethod
+    def general(basis_a, alpha, basis_b, beta):
+        return coles_bound(white_noise_povm(basis_a, alpha), white_noise_povm(basis_b, beta))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_stacked_against_general_path(self, d):
+        rng = np.random.default_rng(400 + d)
+        basis_a, basis_b = random_basis(d, rng, size=(3, 4)), random_basis(d, rng, size=(3, 4))
+        alpha, beta = rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4))
+        # Row 0 at the edges of the noise range: (1, 1), (0, 1), (1, 0), (0, 0).
+        alpha[0], beta[0] = [1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]
+        value = bounds._white_noise_coles(bounds._overlaps(basis_a, basis_b), alpha, beta)
+        assert value.shape == (3, 4)
+        np.testing.assert_allclose(value, self.general(basis_a, alpha, basis_b, beta), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("alpha, beta", [(0.37, 0.81), (0.0, 0.6), (1.0, 0.0), (1.0, 1.0)])
+    def test_unstacked(self, d, alpha, beta):
+        rng = np.random.default_rng(500 + d)
+        basis_a, basis_b = random_basis(d, rng), random_basis(d, rng)
+        value = bounds._white_noise_coles(bounds._overlaps(basis_a, basis_b), alpha, beta)
+        assert type(value) is float
+        assert abs(value - self.general(basis_a, alpha, basis_b, beta)) <= 1e-13
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_noise_broadcasts_against_the_stack(self, d):
+        rng = np.random.default_rng(600 + d)
+        basis_a, basis_b = random_basis(d, rng, size=4), random_basis(d, rng)
+        alpha, beta = rng.uniform(size=(3, 1)), np.array([0.0, 0.45, 1.0, 0.9])
+        value = bounds._white_noise_coles(bounds._overlaps(basis_a, basis_b), alpha, beta)
+        assert value.shape == (3, 4)
+        np.testing.assert_allclose(value, self.general(basis_a, alpha, basis_b, beta), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_sharp_limit_is_mu(self, d):
+        rng = np.random.default_rng(700 + d)
+        u = bounds._overlaps(random_basis(d, rng, size=5), random_basis(d, rng, size=5))
+        mu = -np.log2((np.abs(u) ** 2).max(axis=(-2, -1)))
+        np.testing.assert_allclose(bounds._white_noise_coles(u, 1.0, 1.0), mu, rtol=0, atol=1e-15)
+
+
 class TestMuBound:
     def test_identical_bases(self):
         assert sharp(np.eye(3), np.eye(3))["mu"] == pytest.approx(0.0, abs=1e-12)

@@ -405,6 +405,15 @@ class TestSweepTheta:
         out = files["tmp"] / "e.csv"
         assert main(["sweep-theta", "--steps", "5", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("missing, given", [("eta", "zeta"), ("zeta", "eta")])
+    def test_missing_noise_level_is_named(self, files, capsys, missing, given):
+        out = files["tmp"] / "m.csv"
+        assert main(["sweep-theta", f"--{given}", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: theta sweep needs {missing} (--{missing} or config file)")
+        assert "got None" not in err
+        assert not out.exists()
+
     def test_seed_flag_removed(self, files, capsys):
         out = files["tmp"] / "g.csv"
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import crossing_roots
-from unsharp import bounds, sweeps
+from unsharp import bounds, povm, sweeps
 from unsharp.bounds import device_uncertainty_white_noise
 from unsharp.povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 from unsharp.uncertainty import binary_entropy, f_white_noise, shannon_entropy
@@ -532,12 +532,15 @@ class TestSweepWork:
     @pytest.fixture
     def work(self, monkeypatch):
         counts, shapes = Counter(), []
-        for name in ("_majorization", "coles_bound", "device_uncertainty_white_noise"):
+        for name in ("_majorization", "_white_noise_coles", "coles_bound", "device_uncertainty_white_noise"):
             _count_calls(monkeypatch, bounds, name, counts)
-        _count_calls(monkeypatch, sweeps, "white_noise_povm", counts)
+        # Every builder makes its Povm through _stated or Povm.__post_init__.
+        for name in ("white_noise_povm", "_stated"):
+            _count_calls(monkeypatch, povm, name, counts)
         _count_calls(monkeypatch, sweeps, "_damping_columns", counts, shapes)
         _count_calls(monkeypatch, Povm, "__post_init__", counts)
-        _count_calls(monkeypatch, np.linalg, "eigh", counts)
+        for name in ("eigh", "eigvalsh"):
+            _count_calls(monkeypatch, np.linalg, name, counts)
         real_factory = sweeps._theta_columns_of
 
         def factory(*args):
@@ -586,14 +589,12 @@ class TestSweepWork:
         assert len(refinement) <= 6
         assert counts["_theta_columns_of"] == 1
         assert counts["_theta_columns"] == 1 + len(refinement)
-        assert counts["_majorization"] == counts["coles_bound"] == 1 + len(refinement)
-        assert delta["_majorization"] == delta["coles_bound"] == len(refinement)
-        # The sigma_z side and both D_WN values are built once per sweep; each
-        # column call builds one POVM, the spin side, from its stated
-        # spectrum: no Povm validation and no eigh.
-        assert counts["white_noise_povm"] == 1 + counts["_theta_columns"]
-        assert delta["white_noise_povm"] == len(refinement)
-        assert counts["__post_init__"] == counts["eigh"] == 0
+        assert counts["_majorization"] == counts["_white_noise_coles"] == 1 + len(refinement)
+        assert delta["_majorization"] == delta["_white_noise_coles"] == len(refinement)
+        # Every column comes from the overlap matrices: the sweep builds no
+        # POVM and runs no eigensolver, and both D_WN values are computed once.
+        for name in ("coles_bound", "white_noise_povm", "_stated", "__post_init__", "eigh", "eigvalsh"):
+            assert counts[name] == 0, name
         assert counts["device_uncertainty_white_noise"] == 2
         assert delta["device_uncertainty_white_noise"] == 0
 
