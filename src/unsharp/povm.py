@@ -151,11 +151,28 @@ def _stated(effects: np.ndarray, eigenvalues: np.ndarray, basis: np.ndarray, ord
     ``basis_tol(d)`` the stated spectrum is off by at most d times that.
     """
     povm = object.__new__(Povm)
-    vectors = basis[..., order, :].swapaxes(-1, -2)
+    d = basis.shape[-1]
+    # vectors[..., i, j, k] = basis[..., order[i, k], j], gathered in one contiguous copy.
+    flat = order[:, None, :] * d + np.arange(d)[:, None]
+    vectors = np.take(basis.reshape(basis.shape[:-2] + (d * d,)), flat, axis=-1)
     object.__setattr__(povm, "effects", _frozen(effects))
     object.__setattr__(povm, "eigenvalues", _frozen(np.broadcast_to(eigenvalues, effects.shape[:-1])))
     object.__setattr__(povm, "eigenvectors", _frozen(np.broadcast_to(vectors, effects.shape)))
     return povm
+
+
+def _rows(povm: Povm, index) -> Povm:
+    """The POVMs ``index`` picks along the first stack axis of a validated
+    stack, as one read-only stack.
+
+    The rows of a stack that ``Povm`` accepted pass its checks, and their
+    decompositions are rows of the stack's, so like ``_stated`` this runs no
+    validation and no ``eigh``.
+    """
+    rows = object.__new__(Povm)
+    for name in ("effects", "eigenvalues", "eigenvectors"):
+        object.__setattr__(rows, name, _frozen(getattr(povm, name)[index]))
+    return rows
 
 
 def projective_from_basis(basis) -> Povm:

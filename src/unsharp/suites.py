@@ -8,7 +8,10 @@ always "distance from violation" and suites pass when no slack falls below
 its tolerance.
 
 Trials are drawn and evaluated as stacks: one call per block of trials that
-share a dimension and outcome count. A seed therefore reproduces its
+share a dimension and outcome count. The POVM-pair suites, coles and
+convexity, block their trials by dimension alone: each block draws every POVM
+family once per outcome count, and each (n_A, n_B) group of the block is
+evaluated on its rows of those stacks. A seed therefore reproduces its
 scenarios within one version of the package, not across versions.
 """
 
@@ -20,16 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
+    _lowest_eigenvalue,
     basis_pair_bounds,
     coles_bound,
     device_uncertainty_white_noise,
     krishna_bound,
     majorization_vector,
-    min_device_uncertainty,
 )
 from .errors import ConfigError
 from .linalg import TOL_SUITE, TOL_SUITE_CLOSED_FORM, TOL_SUITE_IDENTITY
-from .povm import Povm, convex_combination, projective_from_basis, white_noise_povm
+from .povm import Povm, _rows, convex_combination, projective_from_basis, white_noise_povm
 from .sampling import (
     random_basis,
     random_mixed_state,
@@ -38,10 +41,11 @@ from .sampling import (
     random_state_vector,
 )
 from .uncertainty import (
+    _expectation,
     binary_entropy,
     device_uncertainty,
+    device_uncertainty_operator,
     outcome_probs,
-    quantum_uncertainty,
     shannon_entropy,
 )
 from .sweeps import spin_basis
@@ -50,13 +54,16 @@ MAX_MESSAGES = 20
 # Trials per stacked call. Every suite draws and evaluates its trials in blocks
 # of at most BLOCK, so the arrays of one call, and with them the peak memory of
 # a run, do not grow with the trial count; only the per-trial keys (sizes and
-# scalar parameters) do. Larger blocks amortize the per-call cost; at 64 the
-# temporaries of one call stay under about 100 kB (d = 4, n = 5).
-BLOCK = 64
+# scalar parameters) do. Larger blocks amortize the per-call cost; at 256 the
+# largest call, a chain block at d = 4, n = 5, peaks at about 1.9 MB of
+# tracemalloc (0.5 MB at 64).
+BLOCK = 256
 # Most trials per run. The per-trial keys drawn up front cost at most about
-# 75 B of peak RSS per trial (convexity: 6.8 MB more at 10^5 trials than at
-# 10^4), so the cap extrapolates to about 75 MB; chain, the slowest suite,
-# takes about 2 minutes at the cap on one core of a 2-vCPU Xeon VM.
+# 65 B of peak RSS per trial (convexity: 12.1 MB more at 2 x 10^5 trials than
+# at 10^4), so the cap extrapolates to about 65 MB. Per trial chain is the
+# slowest suite (about 110 us) and takes about 2 minutes at the cap on one
+# core of a 2-vCPU Xeon VM. The slowest op of the benchmark's verify cycle is
+# coles at 290 trials (about 13 ms).
 MAX_TRIALS = 1_000_000
 
 
@@ -122,6 +129,38 @@ def _groups(trials: int, *keys: np.ndarray):
             yield key, group[start : start + BLOCK]
 
 
+def _by_outcomes(d: int, n: np.ndarray, rng) -> Callable[[np.ndarray], Povm]:
+    """Draw random POVMs for trials with outcome counts n, one stack per count.
+
+    Returns ``rows(sub)``: the POVMs of trials ``sub`` (ascending, one shared
+    outcome count) as one stack, without validating them again.
+    """
+    row = np.empty(n.size, dtype=int)
+    stacks = {}
+    # Not np.unique: its first call in a process raised peak RSS by about 0.75 MB.
+    for count in sorted(set(n.tolist())):
+        mask = n == count
+        row[mask] = np.arange(int(mask.sum()))
+        stacks[count] = random_povm(d, count, rng, size=int(mask.sum()))
+    return lambda sub: _rows(stacks[int(n[sub[0]])], row[sub])
+
+
+def _povm_pairs(trials: int, rng, dims: np.ndarray, n_a: np.ndarray, n_b: np.ndarray):
+    """Yield (d, trial indices, A, B, rho) for each (d, n_A, n_B) group of random POVM pairs.
+
+    Trials are blocked by d alone (at most BLOCK each, as in ``_groups``).
+    Each block draws its A POVMs once per outcome count, then its B POVMs,
+    then one pure state per trial; each of its (n_A, n_B) groups takes its
+    rows of those stacks, so every trial keeps its distribution.
+    """
+    for (d,), block in _groups(trials, dims):
+        a = _by_outcomes(d, n_a[block], rng)
+        b = _by_outcomes(d, n_b[block], rng)
+        rho = random_pure_state(d, rng, size=block.size)
+        for _, sub in _groups(block.size, n_a[block], n_b[block]):
+            yield d, block[sub], a(sub), b(sub), rho[sub]
+
+
 def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """H >= D >= minD >= resolution bound on random states and POVMs."""
     result = SuiteResult("chain", trials, seed)
@@ -135,8 +174,10 @@ def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
             rho[odd] = random_pure_state(d, rng, size=int(odd.sum()))
             rho[~odd] = random_mixed_state(d, rng, size=int((~odd).sum()))
             entropy = shannon_entropy(outcome_probs(rho, povm))
-            dev = device_uncertainty(rho, povm)
-            floor = min_device_uncertainty(povm)
+            # D = Tr[rho M] and minD = lowest eigenvalue of M, from one operator M.
+            m = device_uncertainty_operator(povm)
+            dev = _expectation(rho, m)
+            floor = _lowest_eigenvalue(m)
             resolution = krishna_bound(povm)
 
             def label(check):
@@ -153,8 +194,9 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
     """Direct-sum majorization and the H(W) entropy bound on random bases."""
     result = SuiteResult("majorization", trials, seed)
     rng = np.random.default_rng(seed)
+    blocks = [idx for _, idx in _groups(trials)]
     for d in (2, 3):
-        for _, idx in _groups(trials):
+        for idx in blocks:
             basis_a = random_basis(d, rng, size=idx.size)
             basis_b = random_basis(d, rng, size=idx.size)
             rho = random_pure_state(d, rng, size=idx.size)
@@ -184,23 +226,21 @@ def suite_convexity(trials: int = 200, seed: int = 0) -> SuiteResult:
     n_a = rng.integers(2, 4, size=trials)
     n_b = rng.integers(2, 4, size=trials)
     weights = rng.uniform(size=trials)
-    for (d, na, nb), idx in _groups(trials, dims, n_a, n_b):
-        a = random_povm(d, na, rng, size=idx.size)
-        b = random_povm(d, nb, rng, size=idx.size)
-        rho = random_pure_state(d, rng, size=idx.size)
+    for d, idx, a, b, rho in _povm_pairs(trials, rng, dims, n_a, n_b):
         p = weights[idx]
         mixed = convex_combination(a, b, p)
         gain = binary_entropy(p)
-        d_direct = device_uncertainty(rho, mixed)
-        d_expected = p * device_uncertainty(rho, a) + (1 - p) * device_uncertainty(rho, b) + gain
-        q_direct = quantum_uncertainty(rho, mixed)
-        q_expected = p * quantum_uncertainty(rho, a) + (1 - p) * quantum_uncertainty(rho, b)
+        # D and H once per POVM; Q = H - D is what quantum_uncertainty computes.
+        d_mixed, d_a, d_b = (device_uncertainty(rho, povm) for povm in (mixed, a, b))
+        h_mixed, h_a, h_b = (shannon_entropy(outcome_probs(rho, povm)) for povm in (mixed, a, b))
+        d_expected = p * d_a + (1 - p) * d_b + gain
+        q_expected = p * (h_a - d_a) + (1 - p) * (h_b - d_b)
 
         def label(check):
             return lambda i: f"trial={idx[i]} d={d} p={p[i]:.3f} {check}"
 
-        result.record(-abs(d_direct - d_expected), TOL_SUITE_IDENTITY, label("D identity"))
-        result.record(-abs(q_direct - q_expected), TOL_SUITE_IDENTITY, label("Q identity"))
+        result.record(-abs(d_mixed - d_expected), TOL_SUITE_IDENTITY, label("D identity"))
+        result.record(-abs((h_mixed - d_mixed) - q_expected), TOL_SUITE_IDENTITY, label("Q identity"))
     return result
 
 
@@ -209,13 +249,14 @@ def suite_whitenoise(trials: int = 100, seed: int = 0) -> SuiteResult:
     result = SuiteResult("whitenoise", trials, seed)
     rng = np.random.default_rng(seed)
     alphas = np.linspace(0.0, 1.0, 11)
+    blocks = [idx for _, idx in _groups(trials)]
     for d in range(2, 7):
         # Decomposed numerically, so the check compares eigh's D with the closed form.
         povm = Povm(white_noise_povm(random_basis(d, rng), alphas).effects)
         closed = device_uncertainty_white_noise(alphas, d)
         # Every alpha is checked on the same random states: (block, 1) x (11,).
         worst = np.zeros_like(alphas)
-        for _, idx in _groups(trials):
+        for idx in blocks:
             rho = random_pure_state(d, rng, size=(idx.size, 1))
             worst = np.maximum(worst, abs(device_uncertainty(rho, povm) - closed).max(axis=0))
         result.record(-worst, TOL_SUITE_CLOSED_FORM, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence")
@@ -254,10 +295,7 @@ def suite_coles(trials: int = 500, seed: int = 0) -> SuiteResult:
     dims = rng.integers(2, 4, size=trials)
     n_a = rng.integers(2, 5, size=trials)
     n_b = rng.integers(2, 5, size=trials)
-    for (d, na, nb), idx in _groups(trials, dims, n_a, n_b):
-        a = random_povm(d, na, rng, size=idx.size)
-        b = random_povm(d, nb, rng, size=idx.size)
-        rho = random_pure_state(d, rng, size=idx.size)
+    for d, idx, a, b, rho in _povm_pairs(trials, rng, dims, n_a, n_b):
         entropy_sum = shannon_entropy(outcome_probs(rho, a)) + shannon_entropy(outcome_probs(rho, b))
         result.record(entropy_sum - coles_bound(a, b), TOL_SUITE, lambda i: f"trial={idx[i]} d={d}")
     return result

@@ -6,12 +6,15 @@ return Python floats, and a bad item in a stack must raise the unstacked
 error type naming the item's index.
 """
 
+import importlib
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unsharp import bounds, suites
+from unsharp import bounds, suites, uncertainty
 from unsharp.errors import (
     CompletenessViolated,
     DimensionMismatch,
@@ -25,6 +28,7 @@ from unsharp.errors import (
 from unsharp.linalg import validate_density
 from unsharp.povm import (
     Povm,
+    _rows,
     amplitude_damping_povm,
     convex_combination,
     projective_from_basis,
@@ -149,6 +153,20 @@ class TestPovmStacks:
         assert grid.effects.shape == (STACK, 3, 3, 3)
         np.testing.assert_allclose(grid.effects[3], amplitude_damping_povm(bases[0], es[3]).effects, atol=TOL, rtol=0)
         assert singles[0].effects.shape == (3, 3, 3)
+
+    def test_rows_of_a_stack(self, monkeypatch, rng):
+        stack = random_povm(3, 4, rng, size=STACK)
+
+        def no_eigh(*args):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        index = np.array([4, 0, 2])
+        rows = _rows(stack, index)
+        for name in ("effects", "eigenvalues", "eigenvectors"):
+            assert not getattr(rows, name).flags.writeable
+            np.testing.assert_array_equal(getattr(rows, name), getattr(stack, name)[index])
+        assert (rows.dim, rows.n_outcomes) == (3, 4)
 
     def test_amplitude_damping_checks_the_basis_dimension_of_a_stack(self, rng):
         with pytest.raises(DimensionMismatch, match="d=2"):
@@ -509,3 +527,79 @@ class TestSuiteResult:
         # at most one stack per (d, n): n in 2..d+1 for d = 2, 3, 4
         assert len(constructed) <= 2 + 3 + 4
         assert sum(shape[0] for shape in constructed) == 3 * 40
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Count the calls of <module>.<name> in every module given, in one list of their arguments."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def counting(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def bench_expected_checks():
+    """``expected_checks`` and ``SUITE_TRIALS`` of the benchmark's verify workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    return workloads.expected_checks, workloads.SUITE_TRIALS
+
+
+class TestSuiteCallStructure:
+    def test_coles_draws_once_per_outcome_count(self, monkeypatch):
+        draws = count_calls(monkeypatch, "random_povm", suites)
+        pair_bounds = count_calls(monkeypatch, "coles_bound", suites)
+        result = suites.suite_coles(290, 3)
+        assert result.checks == 290 and result.passed
+        # d = 2, 3, one block each: 3 outcome counts per family, 3 x 3 groups.
+        assert len(draws) == 2 * 2 * 3
+        assert len(pair_bounds) == 2 * 3 * 3
+
+    def test_convexity_draws_once_per_outcome_count(self, monkeypatch):
+        draws = count_calls(monkeypatch, "random_povm", suites)
+        result = suites.suite_convexity(170, 3)
+        assert result.checks == 2 * 170 and result.passed
+        assert len(draws) == 2 * 2 * 2
+
+    def test_pair_draws_give_each_trial_its_outcome_counts(self):
+        rng = np.random.default_rng(6)
+        trials = 2 * suites.BLOCK + 50
+        dims, n_a, n_b = rng.integers(2, 4, size=trials), rng.integers(2, 5, size=trials), rng.integers(2, 5, size=trials)
+        seen, drawn = [], set()
+        for d, idx, a, b, rho in suites._povm_pairs(trials, rng, dims, n_a, n_b):
+            assert idx.size <= suites.BLOCK
+            assert (dims[idx] == d).all()
+            assert (n_a[idx] == a.n_outcomes).all() and (n_b[idx] == b.n_outcomes).all()
+            assert a.effects.shape[0] == b.effects.shape[0] == rho.shape[0] == idx.size
+            assert a.dim == b.dim == rho.shape[-1] == d
+            seen.extend(idx.tolist())
+            drawn.update(item.tobytes() for stack in (a.effects, b.effects, rho) for item in stack)
+        assert sorted(seen) == list(range(trials))
+        # Every trial takes its own row of each draw: no row is handed out twice.
+        assert len(drawn) == 3 * trials
+
+    def test_chain_forms_one_device_uncertainty_operator_per_group(self, monkeypatch):
+        operators = count_calls(monkeypatch, "device_uncertainty_operator", suites, bounds, uncertainty)
+        draws = count_calls(monkeypatch, "random_povm", suites)
+        result = suites.suite_chain(130, 3)
+        assert result.checks == 3 * 4 * 130 and result.passed
+        assert len(operators) == len(draws) == 2 + 3 + 4
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_check_counts_at_any_block(self, monkeypatch, block):
+        expected_checks, suite_trials = bench_expected_checks()
+        if block is not None:
+            monkeypatch.setattr(suites, "BLOCK", block)
+        for name in suites.SUITES:
+            trials = suite_trials[name] if block is None else 15
+            result = suites.run_suite(name, trials, 9)
+            assert result.checks == expected_checks(name, trials)
+            assert result.passed, result.messages
