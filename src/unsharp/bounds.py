@@ -167,9 +167,12 @@ def _white_noise_coles(u: np.ndarray, alpha, beta):
     forming either POVM. Each side's norm is the top eigenvalue of a d x d
     Gram matrix per effect, closed form at d = 2; alpha and beta, already
     checked, broadcast against the stack."""
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    sides = _white_noise_sandwiched_max(u, alpha, beta), _white_noise_sandwiched_max(u.swapaxes(-1, -2), beta, alpha)
-    return _neg_log2(np.minimum(*sides))
+    # Both sides in one call, on a new stack axis: A's effects sandwiched by
+    # B's, then B's by A's.
+    levels = np.empty(np.broadcast(alpha, beta).shape + (2,))
+    levels[..., 0], levels[..., 1] = alpha, beta
+    sides = _white_noise_sandwiched_max(np.stack((u, u.swapaxes(-1, -2)), axis=-3), levels, levels[..., ::-1])
+    return _neg_log2(sides.min(axis=-1))
 
 
 def _overlaps(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Fourier couple of mutually unbiased bases.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ DAMPING_COLUMNS = ("e", "logC_numeric", "logC_closed", "D_AD")
 
 # Crossovers are reported correctly rounded to this many decimals.
 CROSSOVER_DECIMALS = 4
+# np.round(x, CROSSOVER_DECIMALS) is rint(x * _SCALE) / _SCALE.
+_SCALE = 10.0**CROSSOVER_DECIMALS
 # A bracket this narrow stops even if its ends round apart: its root lies on a
 # rounding boundary, to within this width.
 _WIDTH_FLOOR = 1e-12
@@ -40,11 +43,17 @@ _WIDTH_FLOOR = 1e-12
 _ROUNDOFF_REL = 16 * np.finfo(float).eps
 # ITP truncation coefficient, in units of 1 / (grid interval).
 _ITP_K1 = 0.01
-# Each refinement step also probes the rounding cell of its regula-falsi
-# estimate, at this distance either side of the cell's center: inside the
-# cell by 1e-9, far above the roundoff of a point in [0, pi], so both edges
-# round to the cell's value and a root between them settles its bracket.
-_CELL_EDGE = 0.49999 * 10.0**-CROSSOVER_DECIMALS
+# Each refinement step also probes the rounding cell (of width _CELL) that
+# holds its estimate of the root, at _CELL_EDGE either side of the cell's
+# center: inside the cell by 1e-9, far above the roundoff of a point in
+# [0, pi], so both edges round to the cell's value and a root between them
+# settles its bracket.
+_CELL = 10.0**-CROSSOVER_DECIMALS
+_CELL_EDGE = 0.49999 * _CELL
+# The first step's estimate interpolates the grid points i - 1 .. i + 2
+# around the bracket (xs[i], xs[i + 1]).
+_WINDOW = np.arange(-1, 3)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 # Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
 # _GRID_BLOCK points, so the POVM stacks, temporaries and text of one block
 # stay a few MB; what grows is the column table, filled in place block by
@@ -56,9 +65,7 @@ MAX_STEPS = 100_000
 # each default grid is one call.
 _GRID_BLOCK = 512
 
-# Fixed measurement bases: sigma_z for the angle sweep, the d=3 Fourier pair
-# for the damping sweep.
-_Z_BASIS = _frozen(np.eye(2, dtype=complex))
+# The damping sweep's fixed measurement bases, the d=3 Fourier pair.
 _FOURIER_3 = tuple(_frozen(basis) for basis in mub_fourier_basis(3))
 
 
@@ -135,26 +142,30 @@ class SweepResult:
         ]
 
     def csv_lines(self) -> Iterator[str]:
-        """The CSV lines, without newlines: the configuration and crossovers as
-        ``#`` comments, the header, then one row per grid point.
+        """The CSV text in pieces, each without its final newline: the
+        configuration and crossovers as ``#`` comments, one line each, the
+        header line, then the rows, one piece of newline-separated rows per
+        block of ``_GRID_BLOCK`` grid points.
 
-        Rows are formatted one block of ``_GRID_BLOCK`` points at a time, so
-        the Python floats and text held at once do not grow with the grid.
+        Each block of rows is formatted by one ``%`` over its flat tuple of
+        values, so the Python floats and text held at once do not grow with
+        the grid.
         """
         yield from (f"# {line}" for line in self.config.echo() + self.crossover_lines())
         yield ",".join(self.table)
         columns = list(self.table.values())
         row_format = ",".join(["%.12g"] * len(columns))
         for start in range(0, self.config.steps, _GRID_BLOCK):
-            block = [column[start : start + _GRID_BLOCK].tolist() for column in columns]
-            for row in zip(*block):
-                yield row_format % row
+            block = np.column_stack([column[start : start + _GRID_BLOCK] for column in columns])
+            yield "\n".join([row_format] * len(block)) % tuple(block.ravel().tolist())
 
     def write_csv(self, path) -> None:
-        """Write csv_lines() to path as they are made; ConfigError if the file cannot be written."""
+        """Write csv_lines() to path as they are made, one write per piece;
+        ConfigError if the file cannot be written."""
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                handle.writelines(f"{line}\n" for line in self.csv_lines())
+                for piece in self.csv_lines():
+                    handle.write(f"{piece}\n")
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -181,13 +192,19 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     endpoints) are not crossings, nor are brackets whose ends both differ by
     roundoff only (within ``_ROUNDOFF_REL`` of the larger column). The
     brackets of all differences are refined together, starting from the
-    values in ``table``: each step is one ``columns_of`` call on three probe
-    points per open bracket, and each bracket reads its own difference from
-    the result. The probes are the ITP point (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020) and the two edges of the rounding cell that holds the
-    regula-falsi estimate, each just inside the cell; an edge outside the
-    open bracket is replaced by the ITP point. When the root
-    lies in that cell, one call settles the bracket. The new bracket is the
+    values in ``table``: each step is one ``columns_of`` call on a fixed
+    number of probe points per open bracket, and each bracket reads its own
+    difference from the result. Every step probes the ITP point (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020) and the two edges, each just inside, of
+    the rounding cell that holds an estimate of the root; an edge outside the
+    open bracket is replaced by the ITP point. The first step estimates each
+    root by inverse cubic interpolation through the four grid points around
+    its bracket (by regula falsi where that window is cut short by the grid's
+    end, flat or not monotone, or where the interpolant's root falls outside
+    the bracket) and also probes the two edges of the neighbouring cell on
+    the estimate's side, five probes per bracket; a root in either cell
+    settles its bracket in that one call. Later steps probe the cell of the
+    regula-falsi estimate, three probes per bracket. The new bracket is the
     first sign change among the bracket's ends and its probes.
 
     A bracket stops when both of its ends round to the same value, which it
@@ -207,62 +224,106 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     def difference_rows(columns) -> np.ndarray:
         return np.array([columns[minuend] - columns[subtrahend] for minuend, subtrahend in pairs], dtype=float)
 
-    def brackets(k, minuend, subtrahend):
-        # One difference at a time, so the grid-sized temporaries are one column's.
-        values = table[minuend] - table[subtrahend]
-        roundoff = np.abs(values) <= _ROUNDOFF_REL * np.maximum(np.abs(table[minuend]), np.abs(table[subtrahend]))
-        i = np.flatnonzero((values[:-1] * values[1:] < 0.0) & ~(roundoff[:-1] & roundoff[1:]))
-        return np.full(i.size, k), xs[i], xs[i + 1], values[i], values[i + 1]
+    def sign_changes(k, minuend, subtrahend):
+        # One difference at a time, so the grid-sized temporaries are one
+        # column's. Each sign change (xs[i], xs[i + 1]) comes with the window
+        # of grid points i - 1 .. i + 2, repeating the grid's end where the
+        # window runs past it, and with the larger column magnitude there.
+        m, s = table[minuend], table[subtrahend]
+        values = m - s
+        i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        window = np.minimum(np.maximum(i[:, None] + _WINDOW, 0), xs.size - 1)
+        return np.full(i.size, k), window, values[window], np.maximum(np.abs(m[window]), np.abs(s[window]))
 
-    def unsettled(lo, hi) -> np.ndarray:
-        rounds_apart = np.round(lo, CROSSOVER_DECIMALS) != np.round(hi, CROSSOVER_DECIMALS)
-        return rounds_apart & (hi - lo > _WIDTH_FLOOR)
-
-    owner, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*(brackets(k, *pair) for k, pair in enumerate(pairs))))
+    owner, window, f_window, scale = map(np.concatenate, zip(*(sign_changes(k, *pair) for k, pair in enumerate(pairs))))
+    beyond_roundoff = (np.abs(f_window[:, 1:3]) > _ROUNDOFF_REL * scale[:, 1:3]).any(axis=1)
+    owner, x_window, f_window = owner[beyond_roundoff], xs[window[beyond_roundoff]], f_window[beyond_roundoff]
+    estimates, owner = _window_estimate(x_window, f_window).tolist(), owner.tolist()
+    # A sweep has a handful of brackets, too few for array operations to pay
+    # their fixed cost: each bracket is refined in Python floats, and each
+    # step is one stacked columns_of call on the probes of all of them.
+    lo, hi, f_lo, f_hi = (window[:, c].tolist() for window in (x_window, f_window) for c in (1, 2))
     # ITP with k1 = _ITP_K1 / h, k2 = 2 and n0 = 1 for a grid interval h: after
     # j calls a probe lies within budget - width / 2 of the midpoint, with
     # budget = h / 2**j, so the next bracket is at most budget wide.
-    k1, budget = _ITP_K1 / (hi - lo), hi - lo
-    active = unsettled(lo, hi)
-    while active.any():
-        j = np.flatnonzero(active)
-        a, b, fa, fb = lo[j], hi[j], f_lo[j], f_hi[j]
-        mid, width = (a + b) / 2.0, b - a
-        # Interpolate (regula falsi), then truncate toward the midpoint.
-        falsi = (a * fb - b * fa) / (fb - fa)
-        toward = np.sign(mid - falsi)
-        delta = k1[j] * width**2
-        probe = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta, mid)
-        # Project into the budget's radius around the midpoint.
-        radius = np.maximum(budget[j] - width / 2.0, 0.0)
-        probe = np.where(np.abs(probe - mid) <= radius, probe, mid - toward * radius)
-        budget[j] /= 2.0
-        # The truncation moves the estimate by up to _ITP_K1 of a grid
-        # interval, more than a cell, so the cell is the untruncated estimate's.
-        cell = np.round(falsi, CROSSOVER_DECIMALS)
-        edges = np.column_stack([cell - _CELL_EDGE, cell + _CELL_EDGE])
-        inside = (a[:, None] < edges) & (edges < b[:, None]) & (edges != probe[:, None])
-        # Each bracket's three probes are contiguous in the call: the ITP
-        # point, then the lower and upper cell edges. An edge outside the open
-        # bracket is replaced by the ITP point and takes its value, so it
-        # changes nothing below.
-        x = np.column_stack([probe, np.where(inside, edges, probe[:, None])])
-        f = difference_rows(columns_of(x.ravel()))[np.repeat(owner[j], 3), np.arange(x.size)].reshape(x.shape)
-        f[:, 1:] = np.where(inside, f[:, 1:], f[:, :1])
-        # Candidate ends: a, the three probes and b. The first sign change in
-        # x order: the new upper end is the leftmost candidate that is zero
-        # or has the sign opposite to fa's (b at the latest), the new lower
-        # end the rightmost candidate left of it.
-        x, f = np.column_stack([a, x, b]), np.column_stack([fa, f, fb])
-        crossed = (f == 0.0) | ((f < 0.0) != (fa < 0.0)[:, None])
-        rows = np.arange(j.size)
-        upper = np.argmin(np.where(crossed, x, np.inf), axis=1)
-        lower = np.argmax(np.where(~crossed & (x < x[rows, upper][:, None]), x, -np.inf), axis=1)
-        hi[j], f_hi[j] = x[rows, upper], f[rows, upper]
-        lo[j], f_lo[j] = np.where(f_hi[j] == 0.0, hi[j], x[rows, lower]), f[rows, lower]
-        active[j] = unsettled(lo[j], hi[j])
-    found = np.round((lo + hi) / 2.0, CROSSOVER_DECIMALS)
-    return {label: tuple(dict.fromkeys(found[owner == k].tolist())) for k, label in enumerate(differences)}
+    budget = [b - a for a, b in zip(lo, hi)]
+    k1 = [_ITP_K1 / h for h in budget]
+    active = [n for n in range(len(lo)) if _unsettled(lo[n], hi[n])]
+    first = True
+    while active:
+        probes = []
+        for n in active:
+            a, b, fa, fb = lo[n], hi[n], f_lo[n], f_hi[n]
+            mid, width = (a + b) / 2.0, b - a
+            # Interpolate (regula falsi), then truncate toward the midpoint.
+            falsi = (a * fb - b * fa) / (fb - fa)
+            toward = (mid > falsi) - (mid < falsi)
+            delta = k1[n] * (width * width)
+            probe = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+            # Project into the budget's radius around the midpoint.
+            radius = max(budget[n] - width / 2.0, 0.0)
+            probe = probe if abs(probe - mid) <= radius else mid - toward * radius
+            budget[n] /= 2.0
+            # The truncation moves the estimate by up to _ITP_K1 of a grid
+            # interval, more than a cell, so the cells are the untruncated
+            # estimate's: on the first step the window estimate's cell and
+            # its neighbour on the estimate's side, then the regula-falsi cell.
+            guess = estimates[n] if first and not math.isnan(estimates[n]) else falsi
+            cell = _rounded(guess)
+            cells = (cell, cell + math.copysign(_CELL, guess - cell)) if first else (cell,)
+            # The ITP point, then the lower and upper edge of each cell; an
+            # edge outside the open bracket is replaced by the ITP point.
+            edges = (e if a < e < b and e != probe else probe for c in cells for e in (c - _CELL_EDGE, c + _CELL_EDGE))
+            probes.append([probe, *edges])
+        x = np.array(probes)
+        rows = np.repeat([owner[n] for n in active], x.shape[1])
+        f = difference_rows(columns_of(x.ravel()))[rows, np.arange(x.size)].reshape(x.shape).tolist()
+        for n, x_n, f_n in zip(active, probes, f):
+            # A replaced edge takes the ITP point's value, so it changes
+            # nothing below. The new bracket is the first sign change in x
+            # order among the ends and the probes: its upper end is the first
+            # candidate that is zero or has the sign opposite to f_lo's (b at
+            # the latest), its lower end the candidate before it, or the upper
+            # end itself if that is an exact zero.
+            f_n = [f_n[0] if x_m == x_n[0] else f_m for x_m, f_m in zip(x_n, f_n)]
+            candidates = sorted(zip([lo[n], *x_n, hi[n]], [f_lo[n], *f_n, f_hi[n]]))
+            negative = f_lo[n] < 0.0
+            m = next(m for m, (_, f_m) in enumerate(candidates) if f_m == 0.0 or (f_m < 0.0) != negative)
+            (lo[n], f_lo[n]), (hi[n], f_hi[n]) = candidates[m if candidates[m][1] == 0.0 else m - 1], candidates[m]
+        active = [n for n in active if _unsettled(lo[n], hi[n])]
+        first = False
+    found = {label: {} for label in differences}
+    labels = list(found)
+    for k, a, b in zip(owner, lo, hi):
+        found[labels[k]][_rounded((a + b) / 2.0)] = None
+    return {label: tuple(crossings) for label, crossings in found.items()}
+
+
+def _rounded(x: float) -> float:
+    """x rounded to CROSSOVER_DECIMALS decimals, as np.round rounds it."""
+    return round(x * _SCALE) / _SCALE
+
+
+def _unsettled(lo: float, hi: float) -> bool:
+    """Whether the bracket (lo, hi) goes on: its ends round apart and it is
+    wider than _WIDTH_FLOOR."""
+    return _rounded(lo) != _rounded(hi) and hi - lo > _WIDTH_FLOOR
+
+
+def _window_estimate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Root estimates from the (n, 4) windows x, f of n brackets, each the
+    bracket (x[:, 1], x[:, 2]) and one grid point either side: inverse cubic
+    interpolation, the Lagrange polynomial x(f) through the four points at
+    f = 0. NaN where f is not strictly monotone over the window (a window
+    that repeats the grid's end is flat) or the estimate falls outside the
+    bracket."""
+    steps = f[:, 1:] - f[:, :-1]
+    monotone = (steps * steps[:, 1:2] > 0.0).all(axis=1)
+    # weights[:, k] = prod_{m != k} f_m / (f_m - f_k), finite where f is monotone.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = f[:, None, :] / (f[:, None, :] - f[:, :, None])
+        cubic = (x * np.where(_OFF_DIAGONAL, ratios, 1.0).prod(axis=2)).sum(axis=1)
+    return np.where(monotone & (x[:, 1] < cubic) & (cubic < x[:, 2]), cubic, np.nan)
 
 
 def _theta_columns_of(eta: float, zeta: float) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
@@ -270,17 +331,19 @@ def _theta_columns_of(eta: float, zeta: float) -> Callable[[np.ndarray], dict[st
 
     It maps (k,) angles theta to every THETA_COLUMNS value (and mu) as (k,)
     arrays. Both white-noise device uncertainties and min(eta, zeta) do not
-    depend on theta and are computed here once. Each call forms the overlap
-    matrices of the spin bases with sigma_z once, and takes every column from
-    them: -log2 C of the two white-noise POVMs through the white-noise
-    kernel, so a call builds no POVM and runs no eigensolver. The spin bases
-    are orthonormal by construction and go to the kernels unchecked.
+    depend on theta and are computed here once. Every column comes from the
+    overlap matrices U[i, j] = <a_i|z_j> of the spin bases a with sigma_z,
+    -log2 C of the two white-noise POVMs through the white-noise kernel, so a
+    call builds no POVM and runs no eigensolver. The sigma_z basis is the
+    identity and the spin bases are real, so U is the spin basis itself. The
+    spin bases are orthonormal by construction and go to the kernels
+    unchecked.
     """
     d_eta, d_zeta = (bounds.device_uncertainty_white_noise(level, 2) for level in (eta, zeta))
     noisier = min(eta, zeta)
 
     def columns_of(theta: np.ndarray) -> dict[str, np.ndarray]:
-        u = bounds._overlaps(spin_basis(theta), _Z_BASIS)
+        u = spin_basis(theta)
         columns = bounds._pair_bounds(u, d_eta, d_zeta, noisier)
         columns.update(theta=theta, logC=bounds._white_noise_coles(u, eta, zeta))
         return columns

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from unsharp import bounds, suites, sweeps, uncertainty
+from unsharp import bounds, suites, uncertainty
 from unsharp.bounds import (
     MAX_MAJORIZATION_DIM,
     ad_coles_closed_form,
@@ -194,7 +194,7 @@ class TestColesKernel:
     def test_theta_sweep_pair(self):
         # A stack of noisy spin POVMs against the fixed sigma_z POVM of the angle sweep.
         stacked = white_noise_povm(spin_basis(np.linspace(0.0, np.pi, 37)), 0.8)
-        fixed = white_noise_povm(sweeps._Z_BASIS, 0.9)
+        fixed = white_noise_povm(np.eye(2, dtype=complex), 0.9)
         np.testing.assert_allclose(coles_bound(stacked, fixed), coles_oracle(stacked, fixed), rtol=0, atol=1e-14)
 
 
@@ -234,6 +234,32 @@ class TestWhiteNoiseColesKernel:
         value = bounds._white_noise_coles(bounds._overlaps(basis_a, basis_b), alpha, beta)
         assert value.shape == (3, 4)
         np.testing.assert_allclose(value, self.general(basis_a, alpha, basis_b, beta), rtol=0, atol=1e-13)
+
+    @staticmethod
+    def two_calls(u, alpha, beta):
+        """The kernel as one _white_noise_sandwiched_max call per side."""
+        alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+        a_side = bounds._white_noise_sandwiched_max(u, alpha, beta)
+        b_side = bounds._white_noise_sandwiched_max(u.swapaxes(-1, -2), beta, alpha)
+        return bounds._neg_log2(np.minimum(a_side, b_side))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_one_call_equals_one_call_per_side(self, d):
+        # Both sides stacked in one call give the same bits as a call per side.
+        rng = np.random.default_rng(800 + d)
+        u = bounds._overlaps(random_basis(d, rng, size=(3, 4)), random_basis(d, rng, size=(3, 4)))
+        alpha, beta = rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4))
+        alpha[0], beta[0] = [1.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]
+        assert np.array_equal(bounds._white_noise_coles(u, alpha, beta), self.two_calls(u, alpha, beta))
+        for a, b in [(0.37, 0.81), (0.0, 0.6), (1.0, 0.0), (1.0, 1.0)]:
+            value = bounds._white_noise_coles(u[1, 2], a, b)
+            assert type(value) is float and value == self.two_calls(u[1, 2], a, b)
+        # (3, 1) and (4,) noise arrays broadcast against a (4,) stack.
+        alpha, beta = rng.uniform(size=(3, 1)), np.array([0.0, 0.45, 1.0, 0.9])
+        value = bounds._white_noise_coles(u[0], alpha, beta)
+        assert value.shape == (3, 4)
+        assert np.array_equal(value, self.two_calls(u[0], alpha, beta))
+        assert np.array_equal(bounds._white_noise_coles(u[0], beta, 0.3), self.two_calls(u[0], beta, 0.3))
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_sharp_limit_is_mu(self, d):
