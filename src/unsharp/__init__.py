@@ -12,7 +12,6 @@ pair device uncertainty with its amplitude-damping closed form. All entropies ar
 
 from .bounds import (
     BoundReport,
-    MajorizationVector,
     ad_coles_closed_form,
     basis_pair_bounds,
     coles_bound,
@@ -45,7 +44,6 @@ from .povm import (
     QubitPovmParams,
     amplitude_damping_povm,
     convex_combination,
-    make_povm,
     mub_fourier_basis,
     projective_from_basis,
     qubit_povm,
@@ -66,7 +64,6 @@ from .uncertainty import (
     outcome_probs,
     quantum_uncertainty,
     shannon_entropy,
-    von_neumann_entropy,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +74,6 @@ __all__ = [
     "DegenerateDraw",
     "DimensionMismatch",
     "EigenvalueAboveOne",
-    "MajorizationVector",
     "NotFinite",
     "NotHermitian",
     "NotOrthonormal",
@@ -99,7 +95,6 @@ __all__ = [
     "f_white_noise",
     "krishna_bound",
     "majorization_vector",
-    "make_povm",
     "min_device_uncertainty",
     "min_pair_device_bound",
     "mub_fourier_basis",
@@ -116,6 +111,5 @@ __all__ = [
     "random_state_vector",
     "shannon_entropy",
     "validate_density",
-    "von_neumann_entropy",
     "white_noise_povm",
 ]

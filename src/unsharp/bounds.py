@@ -5,9 +5,10 @@ norm) and its improvement, the device uncertainty minimized over all states.
 Pair bounds: the effect-sandwich bound -log2 C, ``basis_pair_bounds`` for
 two bases (the largest-overlap bound, B1, H(W) / Q(W) / B2 and the total
 white-noise device uncertainty), and the minimized pair device uncertainty
-with its amplitude-damping closed form. For the white-noise POVMs of two
-bases, -log2 C also follows from their overlap matrix alone, which is how
-the angle sweep takes it.
+with its amplitude-damping closed form. ``majorization_vector`` gives the
+read-only pair ``(w, W)`` of two bases that H(W), Q(W) and B2 are built from.
+For the white-noise POVMs of two bases, -log2 C also follows from their
+overlap matrix alone, which is how the angle sweep takes it.
 
 Every bound except ``pair_bound_report`` broadcasts over leading stack axes
 of its POVMs, bases and noise levels, returning a Python float for unstacked
@@ -183,9 +184,9 @@ def _overlaps(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return basis_a.conj() @ basis_b.swapaxes(-1, -2)
 
 
-@dataclass(frozen=True)
-class MajorizationVector:
-    """Subset-maximized norms w and their increment distribution W.
+def majorization_vector(basis_a, basis_b) -> tuple[np.ndarray, np.ndarray]:
+    """Majorization coefficients of two bases, by principal angles: the
+    read-only pair ``(w, W)``.
 
     ``w[k-1]`` is the largest operator norm of a sum of k+1 projectors drawn
     from the two bases (any split between them); it grows from at least 1 to
@@ -194,26 +195,6 @@ class MajorizationVector:
     a comparison vector of the same length 2d as a pair of outcome
     distributions. For a stack of basis pairs, ``w`` is (..., d) and ``W``
     is (..., 2d - 1).
-    """
-
-    w: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen(np.asarray(self.w, dtype=float)))
-        object.__setattr__(self, "W", _frozen(np.asarray(self.W, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[-1]
-
-    def padded(self) -> np.ndarray:
-        """W zero-padded to length 2d."""
-        return np.concatenate([self.W, np.zeros(self.W.shape[:-1] + (1,))], axis=-1)
-
-
-def majorization_vector(basis_a, basis_b) -> MajorizationVector:
-    """Majorization coefficients of two bases, by principal angles.
 
     For k = 1..d, w_k maximizes || sum_{i in R} |a_i><a_i| + sum_{j in S}
     |b_j><b_j| || over all index subsets with |R| + |S| = k + 1. For
@@ -301,7 +282,7 @@ def _subset_tables(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ..
     return subsets, indicators
 
 
-def _majorization(u: np.ndarray) -> MajorizationVector:
+def _majorization(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``majorization_vector`` of the overlap matrices u (..., d, d)."""
     d = u.shape[-1]
     if d > MAX_MAJORIZATION_DIM:
@@ -342,7 +323,7 @@ def _majorization(u: np.ndarray) -> MajorizationVector:
     increments = np.diff(w, axis=-1, prepend=1.0)
     increments[increments <= _INCREMENT_FLOOR] = 0.0
     big_w = np.concatenate([increments, np.zeros(w.shape[:-1] + (d - 1,))], axis=-1)
-    return MajorizationVector(w=w, W=big_w)
+    return _frozen(w), _frozen(big_w)
 
 
 def basis_pair_bounds(basis_a, alpha, basis_b, beta) -> dict:
@@ -375,9 +356,11 @@ def _pair_bounds(u: np.ndarray, d_alpha, d_beta, noisier) -> dict:
     mu = _neg_log2((w1 - 1.0) ** 2)
     values = {"mu": mu, "B1": mu + np.minimum(d_alpha, d_beta)}
     if d <= MAX_MAJORIZATION_DIM:
-        mv = _majorization(u)
-        qw = np.sum(_white_noise_kernel(mv.padded(), np.asarray(noisier)[..., None], d), axis=-1)
-        values.update(HW=shannon_entropy(mv.W), QW=qw, B2=qw + d_wn)
+        big_w = _majorization(u)[1]
+        # Q(W) sums the kernel over W padded with one zero to length 2d.
+        padded = np.concatenate([big_w, np.zeros(big_w.shape[:-1] + (1,))], axis=-1)
+        qw = np.sum(_white_noise_kernel(padded, np.asarray(noisier)[..., None], d), axis=-1)
+        values.update(HW=entropy_term(big_w).sum(axis=-1), QW=qw, B2=qw + d_wn)
     values["D_WN"] = d_wn
     return {name: float_or_array(v) for name, v in zip(values, np.broadcast_arrays(*values.values()))}
 

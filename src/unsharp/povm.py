@@ -117,11 +117,6 @@ def _completeness_residual(effects: np.ndarray) -> np.ndarray:
     return abs(effects.sum(axis=-3) - np.eye(d)).max(axis=(-2, -1))
 
 
-def make_povm(effects) -> Povm:
-    """Validate a sequence of effect matrices and decompose them."""
-    return Povm(list(effects))
-
-
 def _projectors(basis: np.ndarray) -> np.ndarray:
     """|a_i><a_i| for the rows of a (..., d, d) basis, shape (..., d, d, d)."""
     return np.einsum("...ni,...nj->...nij", basis, basis.conj())

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import pure_state_density, validate_density
-from .povm import Povm, make_povm
+from .povm import Povm
 
 
 def json_int(value, what: str) -> int:
@@ -60,7 +60,7 @@ def povm_from_json(obj) -> Povm:
     raw_effects = obj.get("effects")
     if not isinstance(raw_effects, list) or not raw_effects:
         raise ParseError("'effects' must be a non-empty list of matrices")
-    return make_povm([_decode_complex(raw, (d, d), f"effect {i}") for i, raw in enumerate(raw_effects)])
+    return Povm([_decode_complex(raw, (d, d), f"effect {i}") for i, raw in enumerate(raw_effects)])
 
 
 def povm_to_json(povm: Povm) -> dict:

@@ -202,9 +202,9 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
             rho = random_pure_state(d, rng, size=idx.size)
             pa = outcome_probs(rho, projective_from_basis(basis_a))
             pb = outcome_probs(rho, projective_from_basis(basis_b))
-            mv = majorization_vector(basis_a, basis_b)
+            _, big_w = majorization_vector(basis_a, basis_b)
             merged = np.sort(np.concatenate([pa, pb], axis=-1), axis=-1)[:, ::-1]
-            comparison = np.sort(np.concatenate([np.ones((idx.size, 1)), mv.W], axis=-1), axis=-1)[:, ::-1]
+            comparison = np.sort(np.concatenate([np.ones((idx.size, 1)), big_w], axis=-1), axis=-1)[:, ::-1]
 
             def label(check):
                 return lambda i: f"d={d} trial={idx[i]} {check}"
@@ -213,7 +213,7 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
             result.record(partial_gap, TOL_SUITE, label("partial sums"))
             result.record(-abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), TOL_SUITE, label("equal totals"))
             result.record(
-                shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(mv.W), TOL_SUITE, label("H_A+H_B>=H(W)")
+                shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(big_w), TOL_SUITE, label("H_A+H_B>=H(W)")
             )
     return result
 

@@ -41,13 +41,11 @@ _WIDTH_FLOOR = 1e-12
 # sweep, the one such bracket reads 1.5 eps at its larger end, every other one
 # above 1e12 eps.
 _ROUNDOFF_REL = 16 * np.finfo(float).eps
-# ITP truncation coefficient, in units of 1 / (grid interval).
-_ITP_K1 = 0.01
-# Each refinement step also probes the rounding cell (of width _CELL) that
-# holds its estimate of the root, at _CELL_EDGE either side of the cell's
-# center: inside the cell by 1e-9, far above the roundoff of a point in
-# [0, pi], so both edges round to the cell's value and a root between them
-# settles its bracket.
+# Each refinement step also probes two rounding cells (of width _CELL) at its
+# estimate of the root, at _CELL_EDGE either side of each cell's center:
+# inside the cell by 1e-9, far above the roundoff of a point in [0, pi], so
+# both edges round to the cell's value and a root between them settles its
+# bracket.
 _CELL = 10.0**-CROSSOVER_DECIMALS
 _CELL_EDGE = 0.49999 * _CELL
 # The first step's estimate interpolates the grid points i - 1 .. i + 2
@@ -192,31 +190,27 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     endpoints) are not crossings, nor are brackets whose ends both differ by
     roundoff only (within ``_ROUNDOFF_REL`` of the larger column). The
     brackets of all differences are refined together, starting from the
-    values in ``table``: each step is one ``columns_of`` call on a fixed
-    number of probe points per open bracket, and each bracket reads its own
-    difference from the result. Every step probes the ITP point (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020) and the two edges, each just inside, of
-    the rounding cell that holds an estimate of the root; an edge outside the
-    open bracket is replaced by the ITP point. The first step estimates each
+    values in ``table``: each step is one ``columns_of`` call on five probe
+    points per open bracket, and each bracket reads its own difference from
+    the result. Every step probes the bracket's midpoint and the two edges,
+    each just inside, of two rounding cells: the one that holds an estimate
+    of the root and its neighbour on the estimate's side. An edge outside the
+    open bracket is replaced by the midpoint. The first step estimates each
     root by inverse cubic interpolation through the four grid points around
-    its bracket (by regula falsi where that window is cut short by the grid's
-    end, flat or not monotone, or where the interpolant's root falls outside
-    the bracket) and also probes the two edges of the neighbouring cell on
-    the estimate's side, five probes per bracket; a root in either cell
-    settles its bracket in that one call. Later steps probe the cell of the
-    regula-falsi estimate, three probes per bracket. The new bracket is the
-    first sign change among the bracket's ends and its probes.
+    its bracket, later steps by regula falsi (the first step too where the
+    window is cut short by the grid's end, flat or not monotone, or where the
+    interpolant's root falls outside the bracket). A root in either cell
+    settles its bracket in that call. The new bracket is the first sign
+    change among the bracket's ends and its probes.
 
     A bracket stops when both of its ends round to the same value, which it
     reports. It also stops when a probe's difference is exactly zero,
     reporting that probe rounded, and when it is narrower than
     ``_WIDTH_FLOOR`` (its root then lies within that width of a rounding
-    boundary), reporting its rounded midpoint. Worst case: every ITP point
-    lies close enough to its bracket's midpoint that after m + 1 calls a
-    bracket refined by ITP points alone is no wider than bisection leaves it
-    after m. The new bracket always lies on one side of the ITP point, within
-    the bracket ITP alone would keep, so the same bound holds and a bracket
-    reaches the width floor in at most one call more than bisection.
+    boundary), reporting its rounded midpoint. Worst case: the new bracket
+    lies on one side of the midpoint, so after m calls no bracket is wider
+    than bisection leaves it after m, and every bracket reaches the width
+    floor in no more calls than bisection.
     Each label gets its results in grid order, without duplicates.
     """
     xs, pairs = np.asarray(xs, dtype=float), list(differences.values())
@@ -243,43 +237,27 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     # their fixed cost: each bracket is refined in Python floats, and each
     # step is one stacked columns_of call on the probes of all of them.
     lo, hi, f_lo, f_hi = (window[:, c].tolist() for window in (x_window, f_window) for c in (1, 2))
-    # ITP with k1 = _ITP_K1 / h, k2 = 2 and n0 = 1 for a grid interval h: after
-    # j calls a probe lies within budget - width / 2 of the midpoint, with
-    # budget = h / 2**j, so the next bracket is at most budget wide.
-    budget = [b - a for a, b in zip(lo, hi)]
-    k1 = [_ITP_K1 / h for h in budget]
     active = [n for n in range(len(lo)) if _unsettled(lo[n], hi[n])]
     first = True
     while active:
         probes = []
         for n in active:
             a, b, fa, fb = lo[n], hi[n], f_lo[n], f_hi[n]
-            mid, width = (a + b) / 2.0, b - a
-            # Interpolate (regula falsi), then truncate toward the midpoint.
-            falsi = (a * fb - b * fa) / (fb - fa)
-            toward = (mid > falsi) - (mid < falsi)
-            delta = k1[n] * (width * width)
-            probe = falsi + toward * delta if delta <= abs(mid - falsi) else mid
-            # Project into the budget's radius around the midpoint.
-            radius = max(budget[n] - width / 2.0, 0.0)
-            probe = probe if abs(probe - mid) <= radius else mid - toward * radius
-            budget[n] /= 2.0
-            # The truncation moves the estimate by up to _ITP_K1 of a grid
-            # interval, more than a cell, so the cells are the untruncated
-            # estimate's: on the first step the window estimate's cell and
-            # its neighbour on the estimate's side, then the regula-falsi cell.
-            guess = estimates[n] if first and not math.isnan(estimates[n]) else falsi
+            mid = (a + b) / 2.0
+            # The window's estimate on the first step, regula falsi's after it.
+            guess = estimates[n] if first and not math.isnan(estimates[n]) else (a * fb - b * fa) / (fb - fa)
             cell = _rounded(guess)
-            cells = (cell, cell + math.copysign(_CELL, guess - cell)) if first else (cell,)
-            # The ITP point, then the lower and upper edge of each cell; an
-            # edge outside the open bracket is replaced by the ITP point.
-            edges = (e if a < e < b and e != probe else probe for c in cells for e in (c - _CELL_EDGE, c + _CELL_EDGE))
-            probes.append([probe, *edges])
+            cells = (cell, cell + math.copysign(_CELL, guess - cell))
+            # The midpoint, then the lower and upper edge of the estimate's
+            # cell and of its neighbour on the estimate's side; an edge
+            # outside the open bracket is replaced by the midpoint.
+            edges = (e if a < e < b else mid for c in cells for e in (c - _CELL_EDGE, c + _CELL_EDGE))
+            probes.append([mid, *edges])
         x = np.array(probes)
         rows = np.repeat([owner[n] for n in active], x.shape[1])
         f = difference_rows(columns_of(x.ravel()))[rows, np.arange(x.size)].reshape(x.shape).tolist()
         for n, x_n, f_n in zip(active, probes, f):
-            # A replaced edge takes the ITP point's value, so it changes
+            # A replaced edge takes the midpoint's value, so it changes
             # nothing below. The new bracket is the first sign change in x
             # order among the ends and the probes: its upper end is the first
             # candidate that is zero or has the sign opposite to f_lo's (b at

@@ -89,12 +89,6 @@ def binary_entropy(p):
     return float_or_array(entropy_term(q) + entropy_term(1.0 - q))
 
 
-def von_neumann_entropy(rho):
-    """S(rho) = -Tr[rho log2 rho] in bits; a (..., d, d) stack of states gives (...)."""
-    w = np.linalg.eigvalsh(_state_matrix(rho))
-    return float_or_array(entropy_term(np.clip(w, 0.0, 1.0)).sum(axis=-1))
-
-
 def device_uncertainty_operator(povm: Povm) -> np.ndarray:
     """Sum of h(a) |v><v| over all effect eigenpairs, h(a) = -a log2 a.
 

@@ -11,9 +11,9 @@ from itertools import combinations
 import numpy as np
 
 from unsharp.errors import DimensionMismatch
-from unsharp.linalg import pure_state_density
+from unsharp.linalg import float_or_array, pure_state_density
 from unsharp.povm import QubitPovmParams
-from unsharp.uncertainty import binary_entropy, von_neumann_entropy
+from unsharp.uncertainty import binary_entropy, entropy_term
 
 
 def mu_oracle(basis_a, basis_b) -> float:
@@ -62,6 +62,12 @@ def coles_oracle(a, b):
 
     c = np.minimum(sandwiched_max(a.effects, b.effects), sandwiched_max(b.effects, a.effects))
     return -np.log2(np.minimum(c, 1.0))
+
+
+def von_neumann_entropy(rho):
+    """S(rho) = -Tr[rho log2 rho] in bits; a (..., d, d) stack of states gives (...)."""
+    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    return float_or_array(entropy_term(np.clip(w, 0.0, 1.0)).sum(axis=-1))
 
 
 def berta_reduced_bound(basis_a, basis_b, rho) -> float:

@@ -9,7 +9,7 @@ from unsharp.bounds import MAX_MAJORIZATION_DIM
 from unsharp import cli
 from unsharp.cli import main
 from unsharp.linalg import validate_density
-from unsharp.povm import make_povm, mub_fourier_basis, projective_from_basis, white_noise_povm
+from unsharp.povm import Povm, mub_fourier_basis, projective_from_basis, white_noise_povm
 from unsharp.sampling import random_basis
 from unsharp.serialize import povm_to_json, state_to_json
 from unsharp import suites
@@ -36,7 +36,7 @@ def files(tmp_path):
         "wn_half": write("wn_half.json", povm_to_json(white_noise_povm(basis_x, 0.5))),
         "trivial": write(
             "trivial.json",
-            povm_to_json(make_povm([0.3 * np.eye(2), 0.7 * np.eye(2)])),
+            povm_to_json(Povm([0.3 * np.eye(2), 0.7 * np.eye(2)])),
         ),
         "bad_povm": write(
             "bad_povm.json",
@@ -50,7 +50,7 @@ def files(tmp_path):
             {"dim": 2, "effects": [encode([[1.0, np.nan], [np.nan, 0.0]]), encode(np.diag([0.0, 1.0]))]},
         ),
         # Completeness residual 5e-9 < TOL_RECONSTRUCT: accepted, probabilities sum to 1 - 2.5e-9.
-        "near": write("near.json", povm_to_json(make_povm([np.diag([1.0 - 5e-9, 0.0]), np.diag([0.0, 1.0])]))),
+        "near": write("near.json", povm_to_json(Povm([np.diag([1.0 - 5e-9, 0.0]), np.diag([0.0, 1.0])]))),
         "tmp": tmp_path,
     }
 

@@ -8,7 +8,7 @@ from unsharp.linalg import (
     require_orthonormal,
     validate_density,
 )
-from unsharp.povm import make_povm, projective_from_basis
+from unsharp.povm import Povm, projective_from_basis
 from unsharp.sampling import random_povm
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,12 +30,12 @@ class TestHermitianEig:
     """The Hermitian eigendecomposition of every effect, as Povm stores it."""
 
     def test_identity(self):
-        povm = make_povm([np.eye(2)])
+        povm = Povm([np.eye(2)])
         np.testing.assert_allclose(povm.eigenvalues, [[1.0, 1.0]])
         np.testing.assert_allclose(column_gram(povm), [np.eye(2)], atol=1e-12)
 
     def test_sigma_z(self):
-        povm = make_povm([(np.eye(2) + SIGMA_Z) / 2, (np.eye(2) - SIGMA_Z) / 2])
+        povm = Povm([(np.eye(2) + SIGMA_Z) / 2, (np.eye(2) - SIGMA_Z) / 2])
         np.testing.assert_allclose(povm.eigenvalues[0], [0.0, 1.0])
         # ascending: column 1 belongs to eigenvalue 1 (|0>), column 0 to 0 (|1>)
         assert abs(povm.eigenvectors[0][0, 1]) == pytest.approx(1.0)
@@ -44,12 +44,12 @@ class TestHermitianEig:
     def test_rotated_pauli(self):
         # characteristic polynomial of (sx + sz)/sqrt(2) is l^2 - 1
         rotated = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
-        povm = make_povm([(np.eye(2) + rotated) / 2, (np.eye(2) - rotated) / 2])
+        povm = Povm([(np.eye(2) + rotated) / 2, (np.eye(2) - rotated) / 2])
         np.testing.assert_allclose(povm.eigenvalues, [[0.0, 1.0], [0.0, 1.0]], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            make_povm([np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2)])
+            Povm([np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2)])
 
     def test_random_reconstruction_and_trace(self):
         rng = np.random.default_rng(11)

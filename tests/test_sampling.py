@@ -3,7 +3,7 @@ import pytest
 
 from unsharp.errors import DegenerateDraw
 from unsharp.linalg import validate_density
-from unsharp.povm import amplitude_damping_povm, make_povm, mub_fourier_basis, white_noise_povm
+from unsharp.povm import Povm, amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 from unsharp.sampling import (
     random_basis,
     random_mixed_state,
@@ -12,7 +12,9 @@ from unsharp.sampling import (
     random_state_vector,
     sampled_min,
 )
-from unsharp.uncertainty import binary_entropy, device_uncertainty, von_neumann_entropy
+from unsharp.uncertainty import binary_entropy, device_uncertainty
+
+from oracles import von_neumann_entropy
 
 
 class TestDeterminism:
@@ -95,7 +97,7 @@ class TestRandomPovm:
 
     def test_revalidation(self):
         povm = random_povm(3, 4, 13)
-        make_povm(list(povm.effects))
+        Povm(list(povm.effects))
 
     def test_rejects_single_outcome(self):
         with pytest.raises(ValueError):

@@ -159,24 +159,24 @@ class TestDampingSweep:
 
 
 # --- Per-row reference -------------------------------------------------------
-# One grid point per call and one bracket at a time, with find_crossings' ITP
-# step, without its rounding-cell probes, written for scalars: the reference
-# that the stacked grid and refinement must match. Each difference is refined
-# through the same row function as the grid. Plain bisection with the same
-# stop is the reference for the results and call counts of the refinement.
+# One grid point per call and one bracket at a time, refined by plain
+# bisection with find_crossings' stop, written for scalars: the reference that
+# the stacked grid and refinement must match. Each difference is refined
+# through the same row function as the grid. The same bisection is the
+# reference for the results and call counts of the refinement.
 
 
 def reference_theta_row(theta, eta, zeta):
     """mu = -log2 (w_1 - 1)^2 and Q(W) = sum_k f(W_k, min(eta, zeta)) from the
     majorization vector, without the package's basis-pair kernel."""
     basis_a, basis_z = spin_basis(theta), np.eye(2, dtype=complex)
-    mv = bounds.majorization_vector(basis_a, basis_z)
+    w, big_w = bounds.majorization_vector(basis_a, basis_z)
     d_eta = device_uncertainty_white_noise(eta, 2)
     d_zeta = device_uncertainty_white_noise(zeta, 2)
-    qw = sum(f_white_noise(float(p), min(eta, zeta), 2) for p in mv.padded())
-    b1 = float(-np.log2((mv.w[0] - 1.0) ** 2)) + min(d_eta, d_zeta)
+    qw = sum(f_white_noise(p, min(eta, zeta), 2) for p in [*big_w.tolist(), 0.0])
+    b1 = float(-np.log2((w[0] - 1.0) ** 2)) + min(d_eta, d_zeta)
     log_c = bounds.coles_bound(white_noise_povm(basis_a, eta), white_noise_povm(basis_z, zeta))
-    return (theta, b1, qw + d_eta + d_zeta, log_c, d_eta + d_zeta, shannon_entropy(mv.W), qw)
+    return (theta, b1, qw + d_eta + d_zeta, log_c, d_eta + d_zeta, shannon_entropy(big_w), qw)
 
 
 def reference_damping_row(e):
@@ -215,32 +215,6 @@ def reference_bisect(diff, lo, hi):
     return float(rounded((lo + hi) / 2.0)), calls
 
 
-def reference_itp(diff, lo, hi):
-    """find_crossings' ITP refinement of one bracket, one scalar probe (the
-    ITP point) per call: the crossing it reports and its number of diff calls
-    after the grid."""
-    f_lo, f_hi, calls = diff(lo), diff(hi), 0
-    k1, budget = sweeps._ITP_K1 / (hi - lo), hi - lo
-    while unsettled(lo, hi):
-        mid, width = (lo + hi) / 2.0, hi - lo
-        falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        toward = np.sign(mid - falsi)
-        delta = k1 * (width * width)
-        probe = falsi + toward * delta if delta <= abs(mid - falsi) else mid
-        radius = max(budget - width / 2.0, 0.0)
-        probe = probe if abs(probe - mid) <= radius else mid - toward * radius
-        budget /= 2.0
-        f = diff(probe)
-        calls += 1
-        if f == 0.0:
-            lo = hi = probe
-        elif (f < 0.0) == (f_lo < 0.0):
-            lo, f_lo = probe, f
-        else:
-            hi, f_hi = probe, f
-    return float(rounded((lo + hi) / 2.0)), calls
-
-
 def reference_brackets(xs, values, diff, refine=reference_bisect, scale=None):
     """refine every bracket: {grid index: (crossing, calls)}. Given the larger
     column magnitude at each grid point, ``scale``, a bracket whose ends both
@@ -276,7 +250,7 @@ def reference_sweep(config, row, columns, differences):
             return values[minuend] - values[subtrahend]
 
         scale = np.maximum(np.abs(table[minuend]), np.abs(table[subtrahend]))
-        return reference_crossings(grid, table[minuend] - table[subtrahend], diff, reference_itp, scale)
+        return reference_crossings(grid, table[minuend] - table[subtrahend], diff, scale=scale)
 
     return rows, {label: crossings(*pair) for label, pair in differences.items()}
 
@@ -298,14 +272,13 @@ def one_difference(xs, f, calls=None):
 
 
 def calls_per_bracket(xs, calls):
-    """{grid index i: calls that probed (xs[i], xs[i + 1])}, checking that the
-    first call probes one interval at most five times (the ITP point and the
-    two edges of each of two rounding cells) and every later call at most
-    three times (the ITP point and the two edges of one rounding cell)."""
+    """{grid index i: calls that probed (xs[i], xs[i + 1])}, checking that
+    every call probes one interval at most five times (the midpoint and the
+    two edges of each of two rounding cells)."""
     counts = Counter()
-    for n, points in enumerate(calls):
+    for points in calls:
         probes = Counter((np.searchsorted(xs, points, side="right") - 1).tolist())
-        assert max(probes.values()) <= (5 if n == 0 else 3)
+        assert max(probes.values()) <= 5
         counts.update(probes.keys())
     return counts
 
@@ -373,19 +346,19 @@ class TestFindCrossings:
         xs = np.array([0.0, 0.25, 0.75, 1.0])
 
         def f(x):
-            # Linear on [0.25, 0.75], whose ITP point is its midpoint and root 0.5.
+            # Linear on [0.25, 0.75], whose midpoint is its root 0.5.
             return np.where(x <= 0.75, x - 0.5, 0.8 - x**2)
 
         calls = []
         found = one_difference(xs, f, calls)
         assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8944)
-        # The first bracket ends at its ITP point, between the two edges of
+        # The first bracket ends at its midpoint, between the two edges of
         # its estimate's cell, which do not end it; the second goes on alone.
         # Its window is not monotone, so its estimate is regula falsi's, 0.5,
         # and the neighbouring cell is the one above.
         assert calls[0].shape == (10,) and calls[0][0] == 0.5
         assert calls[0][1] < 0.5 < calls[0][2] < calls[0][3] < calls[0][4] < 0.5002
-        assert len(calls) > 1 and all(points.shape == (3,) for points in calls[1:])
+        assert len(calls) > 1 and all(points.shape == (5,) for points in calls[1:])
 
     def test_roundoff_difference_is_not_a_crossing(self):
         # Two columns equal up to an ulp or two: their difference changes
@@ -747,6 +720,18 @@ class TestSweepWork:
         assert len(calls) == 121
         assert sum(n <= 1 for n in calls) >= 115
         assert max(calls) <= 2
+
+    def test_coarse_noise_grid_settles_in_three_calls(self, work):
+        # At 37 angles some window estimates miss both of their cells; with
+        # the midpoint probed on every step, every sweep over (eta, zeta) in
+        # {0, 0.1, ..., 1}^2 still settles all its crossings in three calls.
+        _, _, searches = work
+        levels = [i / 10 for i in range(11)]
+        for eta, zeta in product(levels, levels):
+            run_sweep(theta_config(eta, zeta, steps=37))
+        calls = [len(refinement) for refinement, _, _ in searches]
+        assert len(calls) == 121
+        assert max(calls) <= 3
 
     def test_grid_in_blocks(self, work, monkeypatch):
         counts, shapes, searches = work

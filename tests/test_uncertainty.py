@@ -4,10 +4,10 @@ import pytest
 from unsharp.errors import DimensionMismatch
 from unsharp.linalg import TOL_PSD, TOL_RECONSTRUCT, pure_state_density, validate_density
 from unsharp.povm import (
+    Povm,
     QubitPovmParams,
     amplitude_damping_povm,
     convex_combination,
-    make_povm,
     mub_fourier_basis,
     projective_from_basis,
     qubit_povm,
@@ -23,10 +23,9 @@ from unsharp.uncertainty import (
     outcome_probs,
     quantum_uncertainty,
     shannon_entropy,
-    von_neumann_entropy,
 )
 
-from oracles import device_uncertainty_qubit
+from oracles import device_uncertainty_qubit, von_neumann_entropy
 
 # Independent oracle for the repeated two-outcome entropy values.
 H_THREE_QUARTERS = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
@@ -73,7 +72,7 @@ class TestOutcomeProbs:
         shrink = 0.99 * TOL_RECONSTRUCT * d
         effects = [np.outer(v, v.conj()) for v in fourier]
         effects[0] = (1.0 - shrink) * effects[0]
-        povm = make_povm(effects)
+        povm = Povm(effects)
         rho = validate_density(np.outer(fourier[0], fourier[0].conj()))
         probs = outcome_probs(rho, povm)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
@@ -82,7 +81,7 @@ class TestOutcomeProbs:
     def test_accepted_negative_eigenvalues_on_both_sides(self):
         # Effect and state each sit TOL_PSD below positivity on the same
         # vector, so the raw probability is about -2 TOL_PSD.
-        povm = make_povm([np.diag([1.0 + TOL_PSD, -TOL_PSD]), np.diag([-TOL_PSD, 1.0 + TOL_PSD])])
+        povm = Povm([np.diag([1.0 + TOL_PSD, -TOL_PSD]), np.diag([-TOL_PSD, 1.0 + TOL_PSD])])
         rho = validate_density(np.diag([-TOL_PSD, 1.0 + TOL_PSD]))
         probs = outcome_probs(rho, povm)
         assert np.all(probs >= 0.0) and probs.sum() == pytest.approx(1.0, abs=1e-15)
@@ -232,7 +231,7 @@ class TestQuantumUncertainty:
     def test_identity_multiples_give_zero(self):
         rng = np.random.default_rng(6)
         weights = rng.dirichlet(np.ones(3))
-        povm = make_povm([w * np.eye(2) for w in weights])
+        povm = Povm([w * np.eye(2) for w in weights])
         for _ in range(10):
             rho = random_mixed_state(2, rng)
             assert quantum_uncertainty(rho, povm) == pytest.approx(0.0, abs=1e-12)
@@ -307,7 +306,7 @@ class TestEntropyChain:
         rng = np.random.default_rng(13)
         for d in (2, 3):
             weights = rng.dirichlet(np.ones(3))
-            povm = make_povm([w * np.eye(d) for w in weights])
+            povm = Povm([w * np.eye(d) for w in weights])
             for _ in range(100):
                 rho = random_mixed_state(d, rng)
                 entropy = shannon_entropy(outcome_probs(rho, povm))
