@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, analyze, bounds, sweep-theta, sweep-damping, verify.
-Exit codes: 0 success, 1 validation or assertion failure, 2 usage or parse
-error. Sweep settings follow the precedence CLI flags > config file >
-defaults, and the effective configuration is echoed as '#' comments in the
-CSV output.
+Exit codes: 0 success, 1 validation or assertion failure or a closed stdout
+pipe (no traceback), 2 usage or parse error. Sweep settings follow the
+precedence CLI flags > config file > defaults, and the effective
+configuration is echoed as '#' comments in the CSV output.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -225,10 +226,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     as_json = args.command == "bounds" or getattr(args, "json", False) or getattr(args, "format", None) == "json"
     try:
-        return args.func(args)
-    except (ValidationError, ParseError, ConfigError) as exc:
-        _emit_error(type(exc).__name__, str(exc), as_json)
-        return EXIT_FAIL if isinstance(exc, ValidationError) else EXIT_USAGE
+        try:
+            code = args.func(args)
+        except (ValidationError, ParseError, ConfigError) as exc:
+            _emit_error(type(exc).__name__, str(exc), as_json)
+            code = EXIT_FAIL if isinstance(exc, ValidationError) else EXIT_USAGE
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Pointing it at devnull lets the
+        # interpreter's last flush of what is still buffered succeed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ _ROUNDOFF_REL = 16 * np.finfo(float).eps
 # bracket.
 _CELL = 10.0**-CROSSOVER_DECIMALS
 _CELL_EDGE = 0.49999 * _CELL
-# The first step's estimate interpolates the grid points i - 1 .. i + 2
-# around the bracket (xs[i], xs[i + 1]).
-_WINDOW = np.arange(-1, 3)
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 # Largest grid. The grid is computed, and its CSV rows formatted, in blocks of
 # _GRID_BLOCK points, so the POVM stacks, temporaries and text of one block
 # stay a few MB; what grows is the column table, filled in place block by
@@ -193,15 +189,12 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
     values in ``table``: each step is one ``columns_of`` call on five probe
     points per open bracket, and each bracket reads its own difference from
     the result. Every step probes the bracket's midpoint and the two edges,
-    each just inside, of two rounding cells: the one that holds an estimate
-    of the root and its neighbour on the estimate's side. An edge outside the
-    open bracket is replaced by the midpoint. The first step estimates each
-    root by inverse cubic interpolation through the four grid points around
-    its bracket, later steps by regula falsi (the first step too where the
-    window is cut short by the grid's end, flat or not monotone, or where the
-    interpolant's root falls outside the bracket). A root in either cell
-    settles its bracket in that call. The new bracket is the first sign
-    change among the bracket's ends and its probes.
+    each just inside, of two rounding cells: the one that holds the
+    regula-falsi estimate of the root from the bracket's ends and its
+    neighbour on the estimate's side. An edge outside the open bracket is
+    replaced by the midpoint. A root in either cell settles its bracket in
+    that call. The new bracket is the first sign change among the bracket's
+    ends and its probes.
 
     A bracket stops when both of its ends round to the same value, which it
     reports. It also stops when a probe's difference is exactly zero,
@@ -220,32 +213,28 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
 
     def sign_changes(k, minuend, subtrahend):
         # One difference at a time, so the grid-sized temporaries are one
-        # column's. Each sign change (xs[i], xs[i + 1]) comes with the window
-        # of grid points i - 1 .. i + 2, repeating the grid's end where the
-        # window runs past it, and with the larger column magnitude there.
+        # column's. Each sign change comes with its ends (i, i + 1), the
+        # difference there and the larger column magnitude there.
         m, s = table[minuend], table[subtrahend]
         values = m - s
         i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-        window = np.minimum(np.maximum(i[:, None] + _WINDOW, 0), xs.size - 1)
-        return np.full(i.size, k), window, values[window], np.maximum(np.abs(m[window]), np.abs(s[window]))
+        ends = np.stack([i, i + 1], axis=1)
+        return np.full(i.size, k), ends, values[ends], np.maximum(np.abs(m[ends]), np.abs(s[ends]))
 
-    owner, window, f_window, scale = map(np.concatenate, zip(*(sign_changes(k, *pair) for k, pair in enumerate(pairs))))
-    beyond_roundoff = (np.abs(f_window[:, 1:3]) > _ROUNDOFF_REL * scale[:, 1:3]).any(axis=1)
-    owner, x_window, f_window = owner[beyond_roundoff], xs[window[beyond_roundoff]], f_window[beyond_roundoff]
-    estimates, owner = _window_estimate(x_window, f_window).tolist(), owner.tolist()
+    owner, ends, f_ends, scale = map(np.concatenate, zip(*(sign_changes(k, *pair) for k, pair in enumerate(pairs))))
+    beyond_roundoff = (np.abs(f_ends) > _ROUNDOFF_REL * scale).any(axis=1)
     # A sweep has a handful of brackets, too few for array operations to pay
     # their fixed cost: each bracket is refined in Python floats, and each
     # step is one stacked columns_of call on the probes of all of them.
-    lo, hi, f_lo, f_hi = (window[:, c].tolist() for window in (x_window, f_window) for c in (1, 2))
+    owner = owner[beyond_roundoff].tolist()
+    (lo, hi), (f_lo, f_hi) = xs[ends[beyond_roundoff]].T.tolist(), f_ends[beyond_roundoff].T.tolist()
     active = [n for n in range(len(lo)) if _unsettled(lo[n], hi[n])]
-    first = True
     while active:
         probes = []
         for n in active:
             a, b, fa, fb = lo[n], hi[n], f_lo[n], f_hi[n]
             mid = (a + b) / 2.0
-            # The window's estimate on the first step, regula falsi's after it.
-            guess = estimates[n] if first and not math.isnan(estimates[n]) else (a * fb - b * fa) / (fb - fa)
+            guess = (a * fb - b * fa) / (fb - fa)
             cell = _rounded(guess)
             cells = (cell, cell + math.copysign(_CELL, guess - cell))
             # The midpoint, then the lower and upper edge of the estimate's
@@ -269,7 +258,6 @@ def find_crossings(xs: np.ndarray, table: dict, differences: dict, columns_of) -
             m = next(m for m, (_, f_m) in enumerate(candidates) if f_m == 0.0 or (f_m < 0.0) != negative)
             (lo[n], f_lo[n]), (hi[n], f_hi[n]) = candidates[m if candidates[m][1] == 0.0 else m - 1], candidates[m]
         active = [n for n in active if _unsettled(lo[n], hi[n])]
-        first = False
     found = {label: {} for label in differences}
     labels = list(found)
     for k, a, b in zip(owner, lo, hi):
@@ -286,22 +274,6 @@ def _unsettled(lo: float, hi: float) -> bool:
     """Whether the bracket (lo, hi) goes on: its ends round apart and it is
     wider than _WIDTH_FLOOR."""
     return _rounded(lo) != _rounded(hi) and hi - lo > _WIDTH_FLOOR
-
-
-def _window_estimate(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Root estimates from the (n, 4) windows x, f of n brackets, each the
-    bracket (x[:, 1], x[:, 2]) and one grid point either side: inverse cubic
-    interpolation, the Lagrange polynomial x(f) through the four points at
-    f = 0. NaN where f is not strictly monotone over the window (a window
-    that repeats the grid's end is flat) or the estimate falls outside the
-    bracket."""
-    steps = f[:, 1:] - f[:, :-1]
-    monotone = (steps * steps[:, 1:2] > 0.0).all(axis=1)
-    # weights[:, k] = prod_{m != k} f_m / (f_m - f_k), finite where f is monotone.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = f[:, None, :] / (f[:, None, :] - f[:, :, None])
-        cubic = (x * np.where(_OFF_DIAGONAL, ratios, 1.0).prod(axis=2)).sum(axis=1)
-    return np.where(monotone & (x[:, 1] < cubic) & (cubic < x[:, 2]), cubic, np.nan)
 
 
 def _theta_columns_of(eta: float, zeta: float) -> Callable[[np.ndarray], dict[str, np.ndarray]]:

@@ -290,7 +290,9 @@ def sin3(x):
 def assert_refines_like_bisection(xs, f):
     """find_crossings of f(x) - 0 reports what plain bisection with the same
     stop reports, in at most one call more per bracket, every bracket probed
-    five times in the first call. Returns the crossings."""
+    five times in the first call (the midpoint and the inner edges of the
+    regula-falsi estimate's rounding cell and of its neighbour). Returns the
+    crossings."""
     calls = []
     found = one_difference(xs, f, calls)
     brackets = reference_brackets(xs, f(xs), f)
@@ -337,7 +339,7 @@ class TestFindCrossings:
         ],
         ids=["cbrt", "tanh", "cube"],
     )
-    # The first step's window estimate must not warn on these slopes either.
+    # The regula-falsi estimate must not warn on these slopes either.
     @pytest.mark.filterwarnings("error")
     def test_infinite_steep_and_flat_slopes(self, f, root):
         assert assert_refines_like_bisection(np.linspace(0.0, 1.0, 11), f) == (root,)
@@ -354,8 +356,8 @@ class TestFindCrossings:
         assert found == reference_crossings(xs, f(xs), f) == (0.5, 0.8944)
         # The first bracket ends at its midpoint, between the two edges of
         # its estimate's cell, which do not end it; the second goes on alone.
-        # Its window is not monotone, so its estimate is regula falsi's, 0.5,
-        # and the neighbouring cell is the one above.
+        # The first bracket's regula-falsi estimate is 0.5, and the
+        # neighbouring cell is the one above.
         assert calls[0].shape == (10,) and calls[0][0] == 0.5
         assert calls[0][1] < 0.5 < calls[0][2] < calls[0][3] < calls[0][4] < 0.5002
         assert len(calls) > 1 and all(points.shape == (5,) for points in calls[1:])
@@ -428,26 +430,20 @@ def assert_sweep_matches_bisection(config):
 
 @pytest.mark.filterwarnings("error")
 class TestWindowEstimate:
-    """The first step's inverse cubic estimate falls back to regula falsi on
-    windows cut short by the grid's end, flat, holding an exact zero or not
-    monotone: no floating-point warning, and no crossover changes."""
+    """The regula-falsi estimate on brackets whose grid window is cut short
+    by the grid's end, flat or holds an exact zero, and on short sweeps: no
+    floating-point warning, and the crossovers of plain bisection."""
 
-    def test_estimate_and_fallbacks(self):
-        # Each row brackets a root between its two middle points.
-        x = np.array([[0.2, 0.3, 0.4, 0.5]] * 5 + [[0.3, 0.3, 0.4, 0.5]])
-        f = np.array(
-            [
-                [-0.17, -0.07, 0.03, 0.13],  # linear: the estimate is its root
-                [-0.07, -0.07, 0.03, 0.13],  # a flat step
-                [0.0, -0.07, 0.03, 0.13],  # an exact zero, not monotone
-                [0.19, -0.07, 0.03, -0.3],  # not monotone; the interpolant's root is 0.3765
-                [-0.61, -0.07, 0.03, 0.04],  # monotone; the interpolant's root is 0.2086
-                [-0.07, -0.07, 0.03, 0.13],  # the window repeats the grid's start
-            ]
-        )
-        estimate = sweeps._window_estimate(x, f)
-        assert estimate[0] == pytest.approx(0.37, abs=1e-15)
-        assert np.isnan(estimate[1:]).all()
+    def test_estimate_is_regula_falsi(self):
+        # The bracket (0.3, 0.4) of x**3 - 0.05: regula falsi on its ends
+        # gives 0.36216, in cell 0.3622 whose neighbour on that side is
+        # 0.3621. The root lies in cell 0.3684, and inverse cubic
+        # interpolation through the grid points 0.2 .. 0.5 gives 0.37285.
+        xs = np.linspace(0.0, 1.0, 11)
+        calls = []
+        assert one_difference(xs, lambda x: x**3 - 0.05, calls) == (0.3684,)
+        assert calls[0].shape == (5,) and calls[0][0] == pytest.approx(0.35)
+        assert np.round(calls[0][1:], CROSSOVER_DECIMALS).tolist() == [0.3622, 0.3622, 0.3621, 0.3621]
 
     @pytest.mark.parametrize(
         "steps, f, root",
@@ -703,7 +699,7 @@ class TestSweepWork:
     )
     def test_default_sweeps_settle_in_one_call(self, work, config):
         # Each crossing of these default sweeps lies in the rounding cell of
-        # its window estimate or in the neighbouring cell probed with it.
+        # its regula-falsi estimate or in the neighbouring cell probed with it.
         _, _, searches = work
         run_sweep(config)
         ((refinement, _, _),) = searches
@@ -722,7 +718,7 @@ class TestSweepWork:
         assert max(calls) <= 2
 
     def test_coarse_noise_grid_settles_in_three_calls(self, work):
-        # At 37 angles some window estimates miss both of their cells; with
+        # At 37 angles some regula-falsi estimates miss both of their cells; with
         # the midpoint probed on every step, every sweep over (eta, zeta) in
         # {0, 0.1, ..., 1}^2 still settles all its crossings in three calls.
         _, _, searches = work
