@@ -11,7 +11,6 @@ pair device uncertainty with its amplitude-damping closed form. All entropies ar
 """
 
 from .bounds import (
-    BoundReport,
     ad_coles_closed_form,
     basis_pair_bounds,
     coles_bound,
@@ -69,7 +68,6 @@ from .uncertainty import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CompletenessViolated",
     "DegenerateDraw",
     "DimensionMismatch",

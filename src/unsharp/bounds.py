@@ -18,7 +18,6 @@ input and an array otherwise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -29,7 +28,6 @@ from .linalg import TOL_PROJECTIVE, _frozen, float_or_array, require_orthonormal
 from .povm import Povm, require_same_dim
 from .uncertainty import (
     _expectation,
-    _state_matrix,
     _white_noise_kernel,
     device_uncertainty_operator,
     entropy_term,
@@ -78,8 +76,7 @@ def krishna_bound(povm: Povm):
     unsharp, which is why the minimized device uncertainty below is the
     stronger state-independent bound.
     """
-    top = povm.eigenvalues[..., -1].max(axis=-1)
-    return float_or_array(-np.log2(top) + 0.0)
+    return _neg_log2(povm.eigenvalues[..., -1].max(axis=-1))
 
 
 def _lowest_eigenvalue(m: np.ndarray):
@@ -384,18 +381,6 @@ _B1_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Named bound values for one scenario, plus metadata and notes."""
-
-    values: dict[str, float]
-    metadata: dict[str, object] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"values": dict(self.values), "metadata": dict(self.metadata), "notes": list(self.notes)}
-
-
 def _pvm_basis(povm: Povm) -> np.ndarray | None:
     """Rows of effect top-eigenvectors if the POVM is rank-1 projective."""
     w = povm.eigenvalues
@@ -408,8 +393,10 @@ def _pvm_basis(povm: Povm) -> np.ndarray | None:
     return povm.eigenvectors[:, :, -1]
 
 
-def pair_bound_report(a: Povm, b: Povm, rho=None) -> BoundReport:
-    """All applicable bounds for a measurement pair, optionally with a state.
+def pair_bound_report(a: Povm, b: Povm, rho=None) -> dict:
+    """All applicable bounds for a measurement pair, optionally with a state,
+    as the plain ``{"values", "metadata", "notes"}`` dict that ``unsharp
+    bounds`` prints as JSON.
 
     POVM-level bounds are always included. The basis-family bounds (mu, B1,
     HW, QW, B2, D_WN) are included only when both POVMs are projective, in
@@ -440,9 +427,9 @@ def pair_bound_report(a: Povm, b: Povm, rho=None) -> BoundReport:
         notes.append("basis-family bounds evaluated at zero noise (both POVMs are projective)")
         # The eigenvector rows of a validated projective POVM are a basis to
         # within about d times its completeness tolerance, which need not
-        # meet basis_tol(d), so they are not checked again.
-        sharp = device_uncertainty_white_noise(1.0, a.dim)
-        values.update(_pair_bounds(_overlaps(basis_a, basis_b), sharp, sharp, 1.0))
+        # meet basis_tol(d), so they are not checked again. At zero noise
+        # both D_WN vanish and min(alpha, beta) is 1.
+        values.update(_pair_bounds(_overlaps(basis_a, basis_b), 0.0, 0.0, 1.0))
         if a.dim > MAX_MAJORIZATION_DIM:
             notes.append(
                 f"HW, QW and B2 omitted: the majorization enumeration is limited to "
@@ -454,9 +441,9 @@ def pair_bound_report(a: Povm, b: Povm, rho=None) -> BoundReport:
 
     if rho is not None:
         p_a, p_b = outcome_probs(rho, a), outcome_probs(rho, b)
-        state = _state_matrix(rho)
+        state = np.asarray(rho, dtype=complex)
         h_a, h_b = shannon_entropy(p_a), shannon_entropy(p_b)
         d_a, d_b = _expectation(state, m_a), _expectation(state, m_b)
         values.update(H_A=h_a, H_B=h_b, D_A=d_a, D_B=d_b, Q_A=h_a - d_a, Q_B=h_b - d_b)
         metadata["state"] = True
-    return BoundReport(values=values, metadata=metadata, notes=tuple(notes))
+    return {"values": values, "metadata": metadata, "notes": notes}

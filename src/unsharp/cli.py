@@ -89,7 +89,7 @@ def cmd_bounds(args) -> int:
     povm_a = _load(load_povm, args.povm_a)
     povm_b = _load(load_povm, args.povm_b)
     rho = None if args.state is None else _load(load_state, args.state)
-    print(json.dumps(pair_bound_report(povm_a, povm_b, rho).to_dict()))
+    print(json.dumps(pair_bound_report(povm_a, povm_b, rho)))
     return EXIT_OK
 
 
@@ -109,9 +109,9 @@ def _path(value, key: str) -> str:
     return value
 
 
-def _sweep_config(args) -> SweepConfig:
-    """The effective settings of the sweep ``args.kind``, CLI flag > config file > default;
-    any bad one raises ConfigError. A damping sweep reads no eta or zeta."""
+def _sweep_config(args) -> tuple[SweepConfig, str]:
+    """The effective settings and output path of the sweep ``args.kind``, CLI flag > config file >
+    default; any bad one raises ConfigError. A damping sweep reads no eta or zeta."""
     try:
         config = {}
         if args.config is not None:
@@ -132,28 +132,25 @@ def _sweep_config(args) -> SweepConfig:
         for key, value in noise.items():
             if value is None:
                 raise ValueError(f"theta sweep needs {key} (--{key} or config file)")
-        sweep = SweepConfig(
-            kind=args.kind,
-            start=setting("start", 0.0),
-            stop=setting("stop", float(np.pi) if theta else 1.0),
-            steps=setting("steps", 181 if theta else 101, json_int),
-            out=setting("out", None, _path),
-            **noise,
-        )
-        if sweep.out is None:
+        start = setting("start", 0.0)
+        stop = setting("stop", float(np.pi) if theta else 1.0)
+        steps = setting("steps", 181 if theta else 101, json_int)
+        out = setting("out", None, _path)
+        sweep = SweepConfig(kind=args.kind, start=start, stop=stop, steps=steps, **noise)
+        if out is None:
             raise ValueError("an output path is required (--out or config file)")
-        return sweep
+        return sweep, out
     except (OSError, RecursionError, ValueError) as exc:  # ValueError covers bad JSON and every bad setting
         raise ConfigError(str(exc)) from None
 
 
 def cmd_sweep(args) -> int:
-    config = _sweep_config(args)
+    config, out = _sweep_config(args)
     result = run_sweep(config)
-    result.write_csv(config.out)
+    result.write_csv(out)
     for line in result.crossover_lines():
         print(line)
-    print(f"wrote {config.steps} rows to {config.out}")
+    print(f"wrote {config.steps} rows to {out}")
     return EXIT_OK
 
 
@@ -223,9 +220,13 @@ def main(argv=None) -> int:
     validate --json, analyze --format json and bounds print errors as JSON on
     stdout, every other command as text on stderr.
     """
-    args = build_parser().parse_args(argv)
-    as_json = args.command == "bounds" or getattr(args, "json", False) or getattr(args, "format", None) == "json"
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help or a usage error: flush the help text inside this guard
+            sys.stdout.flush()
+            raise
+        as_json = args.command == "bounds" or getattr(args, "json", False) or getattr(args, "format", None) == "json"
         try:
             code = args.func(args)
         except (ValidationError, ParseError, ConfigError) as exc:

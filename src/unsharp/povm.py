@@ -85,9 +85,7 @@ class Povm:
                 f"{item_prefix('POVM', i)}effects sum to identity with max residual {residual[i]:.3e} > {TOL_RECONSTRUCT:.1e}"
             )
         # Freezing the caller's own array would make it read-only for the caller too.
-        object.__setattr__(self, "effects", _frozen(effects.copy() if effects is self.effects else effects))
-        object.__setattr__(self, "eigenvalues", _frozen(np.clip(eigenvalues, 0.0, 1.0)))
-        object.__setattr__(self, "eigenvectors", _frozen(eigenvectors))
+        _assemble(self, effects.copy() if effects is self.effects else effects, np.clip(eigenvalues, 0.0, 1.0), eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -103,6 +101,14 @@ class Povm:
         A float for a single POVM, an array of the stack's shape otherwise.
         """
         return float_or_array(_completeness_residual(self.effects))
+
+
+def _assemble(povm: Povm, effects: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Povm:
+    """Set the three arrays of ``povm``, read-only, without any check."""
+    object.__setattr__(povm, "effects", _frozen(effects))
+    object.__setattr__(povm, "eigenvalues", _frozen(eigenvalues))
+    object.__setattr__(povm, "eigenvectors", _frozen(eigenvectors))
+    return povm
 
 
 def require_same_dim(a: Povm, b: Povm) -> None:
@@ -145,15 +151,12 @@ def _stated(effects: np.ndarray, eigenvalues: np.ndarray, basis: np.ndarray, ord
     and ``eigh`` are skipped. For a basis orthonormal only to within
     ``basis_tol(d)`` the stated spectrum is off by at most d times that.
     """
-    povm = object.__new__(Povm)
     d = basis.shape[-1]
     # vectors[..., i, j, k] = basis[..., order[i, k], j], gathered in one contiguous copy.
     flat = order[:, None, :] * d + np.arange(d)[:, None]
     vectors = np.take(basis.reshape(basis.shape[:-2] + (d * d,)), flat, axis=-1)
-    object.__setattr__(povm, "effects", _frozen(effects))
-    object.__setattr__(povm, "eigenvalues", _frozen(np.broadcast_to(eigenvalues, effects.shape[:-1])))
-    object.__setattr__(povm, "eigenvectors", _frozen(np.broadcast_to(vectors, effects.shape)))
-    return povm
+    shape = effects.shape
+    return _assemble(object.__new__(Povm), effects, np.broadcast_to(eigenvalues, shape[:-1]), np.broadcast_to(vectors, shape))
 
 
 def _rows(povm: Povm, index) -> Povm:
@@ -164,23 +167,17 @@ def _rows(povm: Povm, index) -> Povm:
     decompositions are rows of the stack's, so like ``_stated`` this runs no
     validation and no ``eigh``.
     """
-    rows = object.__new__(Povm)
-    for name in ("effects", "eigenvalues", "eigenvectors"):
-        object.__setattr__(rows, name, _frozen(getattr(povm, name)[index]))
-    return rows
+    return _assemble(object.__new__(Povm), povm.effects[index], povm.eigenvalues[index], povm.eigenvectors[index])
 
 
 def projective_from_basis(basis) -> Povm:
     """Rank-1 projector POVM |a_i><a_i| in basis order (a sharp measurement).
 
-    A (..., d, d) stack of bases gives a stack of POVMs. The spectrum of
-    each effect is stated, not computed: 1 on its own row, 0 on the others.
+    This is ``white_noise_povm(basis, 1.0)``: a (..., d, d) stack of bases
+    gives a stack of POVMs, and the spectrum of each effect is stated, not
+    computed: 1 on its own row, 0 on the others.
     """
-    basis = require_orthonormal(basis)
-    d = basis.shape[-1]
-    spectrum = np.zeros(d)
-    spectrum[-1] = 1.0
-    return _stated(_projectors(basis), spectrum, basis, _others_then_own(d))
+    return white_noise_povm(basis, 1.0)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .sampling import (
     random_mixed_state,
     random_povm,
     random_pure_state,
-    random_state_vector,
 )
 from .uncertainty import (
     _expectation,
@@ -310,8 +309,7 @@ def suite_dualmap(trials: int = 200, seed: int = 0) -> SuiteResult:
     for (d,), idx in _groups(trials, dims):
         alpha = alphas[idx]
         basis = random_basis(d, rng, size=idx.size)
-        psi = random_state_vector(d, rng, size=idx.size)
-        pure = np.einsum("...i,...j->...ij", psi, psi.conj())
+        pure = random_pure_state(d, rng, size=idx.size)
         a = alpha[:, None, None]
         rho_noisy = a * pure + (1 - a) * np.eye(d) / d
         noisy_probs = np.einsum("...ni,...ij,...nj->...n", basis.conj(), rho_noisy, basis).real

@@ -73,7 +73,6 @@ class SweepConfig:
     steps: int
     eta: float | None = None
     zeta: float | None = None
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("theta", "damping"):

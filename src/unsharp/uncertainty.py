@@ -29,10 +29,6 @@ def entropy_term(x):
     return np.where(positive, -h, 0.0)
 
 
-def _state_matrix(rho) -> np.ndarray:
-    return np.asarray(rho, dtype=complex)
-
-
 def _state_dim(rho: np.ndarray, povm: Povm) -> None:
     if rho.shape[-2:] != (povm.dim, povm.dim):
         raise DimensionMismatch(f"state shape {rho.shape} does not match POVM dim {povm.dim}")
@@ -46,7 +42,7 @@ def outcome_probs(rho, povm: Povm) -> np.ndarray:
     within ``prob_tol(d)`` of 1, which every validated state and POVM meet;
     the result is then a distribution that ``shannon_entropy`` accepts.
     """
-    rho = _state_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
     _state_dim(rho, povm)
     probs = np.einsum("...ij,...nji->...n", rho, povm.effects).real
     tol = prob_tol(povm.dim)
@@ -112,7 +108,7 @@ def device_uncertainty(rho, povm: Povm):
     the outcome entropy. A float for one state and POVM, an array of the
     broadcast stack shape otherwise.
     """
-    rho = _state_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
     _state_dim(rho, povm)
     return _expectation(rho, device_uncertainty_operator(povm))
 

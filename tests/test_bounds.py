@@ -1,9 +1,11 @@
+import json
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from unsharp import bounds, suites, uncertainty
+from unsharp.cli import main
 from unsharp.bounds import (
     MAX_MAJORIZATION_DIM,
     ad_coles_closed_form,
@@ -29,6 +31,7 @@ from unsharp.povm import (
     white_noise_povm,
 )
 from unsharp.sampling import random_basis, random_mixed_state, random_pure_state, random_povm, sampled_min
+from unsharp.serialize import load_povm, load_state, povm_to_json, state_to_json
 from unsharp.suites import suite_coles, suite_majorization, suite_validity
 from unsharp.sweeps import spin_basis
 from unsharp.uncertainty import (
@@ -590,15 +593,15 @@ class TestPairBoundReport:
         report = pair_bound_report(a, b)
         for key in ("krishna_A", "krishna_B", "minD_A", "minD_B", "minD_pair", "coles_C",
                     "mu", "B1", "HW", "QW", "B2", "D_WN"):
-            assert key in report.values
-        assert report.metadata["pvm_pair"] is True
-        assert any("B1 convention" in note for note in report.notes)
+            assert key in report["values"]
+        assert report["metadata"]["pvm_pair"] is True
+        assert any("B1 convention" in note for note in report["notes"])
 
     def test_non_pvm_pair_omits_basis_family(self):
         a, b = ad_pair(0.5)
         report = pair_bound_report(a, b)
-        assert "mu" not in report.values
-        assert report.metadata["pvm_pair"] is False
+        assert "mu" not in report["values"]
+        assert report["metadata"]["pvm_pair"] is False
 
     def test_bounds_dominated_by_entropy_sum(self):
         rng = np.random.default_rng(20)
@@ -608,16 +611,30 @@ class TestPairBoundReport:
             b = random_povm(d, int(rng.integers(2, 4)), rng)
             rho = random_mixed_state(d, rng)
             report = pair_bound_report(a, b, rho)
-            entropy_sum = report.values["H_A"] + report.values["H_B"]
+            entropy_sum = report["values"]["H_A"] + report["values"]["H_B"]
             for key in ("krishna_A", "krishna_B", "minD_A", "minD_B", "minD_pair", "coles_C"):
-                assert report.values[key] <= entropy_sum + 1e-9
+                assert report["values"][key] <= entropy_sum + 1e-9
 
-    def test_to_dict_round_trip(self):
-        import json
-
-        a, b = ad_pair(0.2)
-        payload = json.dumps(pair_bound_report(a, b).to_dict())
-        assert "minD_pair" in json.loads(payload)["values"]
+    def test_cli_prints_the_report(self, tmp_path, capsys):
+        # `unsharp bounds` prints the report dict itself, on a projective pair
+        # with a state and on a random POVM pair without one.
+        rng = np.random.default_rng(21)
+        state = tmp_path / "rho.json"
+        state.write_text(json.dumps(state_to_json(random_mixed_state(3, rng))))
+        cases = (
+            ([projective_from_basis(random_basis(3, rng)) for _ in range(2)], ["--state", str(state)], True),
+            ([random_povm(3, 4, rng), random_povm(3, 2, rng)], [], False),
+        )
+        for povms, extra, pvm_pair in cases:
+            paths = []
+            for i, povm in enumerate(povms):
+                paths.append(str(tmp_path / f"povm{i}.json"))
+                with open(paths[-1], "w", encoding="utf-8") as handle:
+                    json.dump(povm_to_json(povm), handle)
+            assert main(["bounds", *paths, *extra]) == 0
+            expected = pair_bound_report(*map(load_povm, paths), load_state(str(state)) if extra else None)
+            assert expected["metadata"]["pvm_pair"] is pvm_pair
+            assert json.loads(capsys.readouterr().out) == expected
 
 
 def sandwiched_max_loop(core, wrap):
@@ -714,10 +731,10 @@ class TestPairQuantitiesOnce:
             overlap_calls.clear()
             report = pair_bound_report(a, b, random_mixed_state(d, rng))
             assert len(mv_calls) == len(overlap_calls) == 1
-            assert report.values["mu"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
-            assert report.values["B1"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
+            assert report["values"]["mu"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
+            assert report["values"]["B1"] == pytest.approx(mu_oracle(basis_a, basis_b), abs=1e-12)
             hw = shannon_entropy(majorization_vector(basis_a, basis_b)[1])
-            assert (report.values["QW"], report.values["B2"]) == pytest.approx((hw, hw), abs=1e-12)
+            assert (report["values"]["QW"], report["values"]["B2"]) == pytest.approx((hw, hw), abs=1e-12)
 
     def test_non_projective_pair_report(self, mv_calls):
         a, b = ad_pair(0.3)
@@ -741,7 +758,7 @@ class TestPairQuantitiesOnce:
             rho = random_mixed_state(3, rng)
             for state, distributions in ((None, 0), (rho, 2)):
                 counts.update(dict.fromkeys(counts, 0))
-                values = pair_bound_report(a, b, state).values
+                values = pair_bound_report(a, b, state)["values"]
                 assert counts == {"device_uncertainty_operator": 2, "outcome_probs": distributions}
             # Each value equals the public function's, bit for bit.
             assert (values["minD_A"], values["minD_B"]) == (min_device_uncertainty(a), min_device_uncertainty(b))

@@ -500,29 +500,39 @@ class TestVerify:
             assert re.match(r"^  worst at: d=[234] trial=\d+ (H>=D|D>=minD|minD>=resolution|D>=0)$", lines[1])
 
 
+def run_into_closed_pipe(argv, unbuffered):
+    """Run the CLI in a child process whose stdout pipe has no reader, as
+    `unsharp ... | head -n 0` leaves it: the read end is closed before the
+    command writes."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from unsharp.cli import main; sys.exit(main())"] + argv,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in child.stderr
+    assert "Exception ignored" not in child.stderr
+    return child.returncode
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_one_without_traceback(self, unbuffered):
-        # As `unsharp verify ... | head -n 0` leaves it: the read end of the
-        # pipe is closed before the command writes.
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            child = subprocess.run(
-                [sys.executable, "-c", "import sys; from unsharp.cli import main; sys.exit(main())"]
-                + ["verify", "--suite", "validity", "--trials", "5"],
-                stdout=write,
-                stderr=subprocess.PIPE,
-                env=env,
-                text=True,
-                timeout=120,
-            )
-        finally:
-            os.close(write)
-        assert child.returncode == 1
-        assert "Traceback" not in child.stderr
-        assert "Exception ignored" not in child.stderr
+        assert run_into_closed_pipe(["verify", "--suite", "validity", "--trials", "5"], unbuffered) == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_help_into_closed_stdout(self, unbuffered):
+        # argparse prints the help and exits during parsing; unbuffered, its
+        # failed write is ignored (exit 0), buffered, the flush fails (exit 1).
+        assert run_into_closed_pipe(["--help"], unbuffered) in (0, 1)
