@@ -406,8 +406,14 @@ def pair_bound_report(a: Povm, b: Povm, rho=None) -> dict:
     added for both measurements.
 
     Each POVM's device-uncertainty operator and outcome distribution is
-    formed once and read by every value that needs it.
+    formed once and read by every value that needs it. One pair per call: a
+    stack of POVMs or of states raises ValueError.
     """
+    for name, povm in (("A", a), ("B", b)):
+        if povm.effects.ndim != 3:
+            raise ValueError(f"one pair per call: POVM {name} is a stack of shape {povm.effects.shape[:-3]}")
+    if rho is not None and np.ndim(rho) != 2:
+        raise ValueError(f"one state per call: expected a (d, d) state, got shape {np.shape(rho)}")
     require_same_dim(a, b)
     m_a, m_b = device_uncertainty_operator(a), device_uncertainty_operator(b)
     values = {

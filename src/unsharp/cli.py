@@ -17,12 +17,12 @@ import sys
 
 import numpy as np
 
-from .bounds import krishna_bound, min_device_uncertainty, pair_bound_report
+from .bounds import _lowest_eigenvalue, krishna_bound, pair_bound_report
 from .errors import ConfigError, ParseError, ValidationError
 from .serialize import json_int, load_povm, load_state
 from .suites import SUITES, run_suite
 from .sweeps import SweepConfig, run_sweep
-from .uncertainty import device_uncertainty, outcome_probs, quantum_uncertainty, shannon_entropy
+from .uncertainty import _expectation, device_uncertainty_operator, outcome_probs, shannon_entropy
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,14 +69,12 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     povm = _load(load_povm, args.povm)
     rho = _load(load_state, args.state)
-    row = {
-        "dim": povm.dim,
-        "H": shannon_entropy(outcome_probs(rho, povm)),
-        "D": device_uncertainty(rho, povm),
-        "Q": quantum_uncertainty(rho, povm),
-        "krishna": krishna_bound(povm),
-        "minD": min_device_uncertainty(povm),
-    }
+    # H from p, and D = Tr[rho M] and minD from one operator M: each formed once.
+    probs = outcome_probs(rho, povm)
+    m = device_uncertainty_operator(povm)
+    entropy, dev = shannon_entropy(probs), _expectation(rho, m)
+    row = {"dim": povm.dim, "H": entropy, "D": dev, "Q": entropy - dev}
+    row.update(krishna=krishna_bound(povm), minD=_lowest_eigenvalue(m))
     if args.format == "json":
         print(json.dumps(row))
     else:

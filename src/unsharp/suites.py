@@ -1,11 +1,14 @@
 """Randomized property suites behind the CLI verify subcommand.
 
-Each suite draws seeded random scenarios, checks the relevant inequalities or
-identities, and reports check counts, failures and the worst slack observed
-with its location. A slack is lhs - rhs of an inequality lhs >= rhs;
-identities record the negated absolute deviation, so the worst slack is
-always "distance from violation" and suites pass when no slack falls below
-its tolerance.
+Each suite is a generator ``suite_NAME(trials, rng)``: it draws random
+scenarios from ``rng`` and yields its checks as ``(slack, tol, label)``
+triples. ``run_suite`` seeds the generator, records every check in one
+``SuiteResult`` and returns it: check counts, failures and the worst slack
+observed with its location. Each check is recorded before the generator
+resumes, so a label may read the loop variables of its block. A slack is lhs - rhs of an inequality lhs >= rhs;
+identities yield the negated absolute deviation, so the worst slack is always
+"distance from violation" and suites pass when no slack falls below its
+tolerance.
 
 Trials are drawn and evaluated as stacks: one call per block of trials that
 share a dimension and outcome count. The POVM-pair suites, coles and
@@ -160,10 +163,8 @@ def _povm_pairs(trials: int, rng, dims: np.ndarray, n_a: np.ndarray, n_b: np.nda
             yield d, block[sub], a(sub), b(sub), rho[sub]
 
 
-def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
+def suite_chain(trials: int, rng):
     """H >= D >= minD >= resolution bound on random states and POVMs."""
-    result = SuiteResult("chain", trials, seed)
-    rng = np.random.default_rng(seed)
     for d in (2, 3, 4):
         n_outcomes = rng.integers(2, d + 2, size=trials)
         for (n,), idx in _groups(trials, n_outcomes):
@@ -182,17 +183,14 @@ def suite_chain(trials: int = 1000, seed: int = 0) -> SuiteResult:
             def label(check):
                 return lambda i: f"d={d} trial={idx[i]} {check}"
 
-            result.record(entropy - dev, TOL_SUITE, label("H>=D"))
-            result.record(dev - floor, TOL_SUITE, label("D>=minD"))
-            result.record(floor - resolution, TOL_SUITE, label("minD>=resolution"))
-            result.record(dev, TOL_SUITE, label("D>=0"))
-    return result
+            yield entropy - dev, TOL_SUITE, label("H>=D")
+            yield dev - floor, TOL_SUITE, label("D>=minD")
+            yield floor - resolution, TOL_SUITE, label("minD>=resolution")
+            yield dev, TOL_SUITE, label("D>=0")
 
 
-def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
+def suite_majorization(trials: int, rng):
     """Direct-sum majorization and the H(W) entropy bound on random bases."""
-    result = SuiteResult("majorization", trials, seed)
-    rng = np.random.default_rng(seed)
     blocks = [idx for _, idx in _groups(trials)]
     for d in (2, 3):
         for idx in blocks:
@@ -209,18 +207,13 @@ def suite_majorization(trials: int = 500, seed: int = 0) -> SuiteResult:
                 return lambda i: f"d={d} trial={idx[i]} {check}"
 
             partial_gap = (np.cumsum(comparison, axis=-1) - np.cumsum(merged, axis=-1)).min(axis=-1)
-            result.record(partial_gap, TOL_SUITE, label("partial sums"))
-            result.record(-abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), TOL_SUITE, label("equal totals"))
-            result.record(
-                shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(big_w), TOL_SUITE, label("H_A+H_B>=H(W)")
-            )
-    return result
+            yield partial_gap, TOL_SUITE, label("partial sums")
+            yield -abs(merged.sum(axis=-1) - comparison.sum(axis=-1)), TOL_SUITE, label("equal totals")
+            yield shannon_entropy(pa) + shannon_entropy(pb) - shannon_entropy(big_w), TOL_SUITE, label("H_A+H_B>=H(W)")
 
 
-def suite_convexity(trials: int = 200, seed: int = 0) -> SuiteResult:
+def suite_convexity(trials: int, rng):
     """Mixture identities: D gains exactly H_bin(p) and Q mixes linearly."""
-    result = SuiteResult("convexity", trials, seed)
-    rng = np.random.default_rng(seed)
     dims = rng.integers(2, 4, size=trials)
     n_a = rng.integers(2, 4, size=trials)
     n_b = rng.integers(2, 4, size=trials)
@@ -238,15 +231,12 @@ def suite_convexity(trials: int = 200, seed: int = 0) -> SuiteResult:
         def label(check):
             return lambda i: f"trial={idx[i]} d={d} p={p[i]:.3f} {check}"
 
-        result.record(-abs(d_mixed - d_expected), TOL_SUITE_IDENTITY, label("D identity"))
-        result.record(-abs((h_mixed - d_mixed) - q_expected), TOL_SUITE_IDENTITY, label("Q identity"))
-    return result
+        yield -abs(d_mixed - d_expected), TOL_SUITE_IDENTITY, label("D identity")
+        yield -abs((h_mixed - d_mixed) - q_expected), TOL_SUITE_IDENTITY, label("Q identity")
 
 
-def suite_whitenoise(trials: int = 100, seed: int = 0) -> SuiteResult:
+def suite_whitenoise(trials: int, rng):
     """State independence and the closed form of white-noise unsharpness."""
-    result = SuiteResult("whitenoise", trials, seed)
-    rng = np.random.default_rng(seed)
     alphas = np.linspace(0.0, 1.0, 11)
     blocks = [idx for _, idx in _groups(trials)]
     for d in range(2, 7):
@@ -258,14 +248,11 @@ def suite_whitenoise(trials: int = 100, seed: int = 0) -> SuiteResult:
         for idx in blocks:
             rho = random_pure_state(d, rng, size=(idx.size, 1))
             worst = np.maximum(worst, abs(device_uncertainty(rho, povm) - closed).max(axis=0))
-        result.record(-worst, TOL_SUITE_CLOSED_FORM, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence")
-    return result
+        yield -worst, TOL_SUITE_CLOSED_FORM, lambda i: f"d={d} alpha={alphas[i]:.1f} state independence"
 
 
-def suite_validity(trials: int = 500, seed: int = 0) -> SuiteResult:
+def suite_validity(trials: int, rng):
     """Entropy sums dominate B1, B2 and -log2 C for white-noise spin pairs."""
-    result = SuiteResult("validity", trials, seed)
-    rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, np.pi, size=trials)
     alphas = rng.uniform(size=trials)
     betas = rng.uniform(size=trials)
@@ -279,31 +266,25 @@ def suite_validity(trials: int = 500, seed: int = 0) -> SuiteResult:
         entropy_sum = shannon_entropy(outcome_probs(rho, pa)) + shannon_entropy(outcome_probs(rho, pb))
         pair = basis_pair_bounds(basis_a, alpha, basis_b, beta)
         strongest = np.maximum(np.maximum(pair["B1"], pair["B2"]), coles_bound(pa, pb))
-        result.record(
+        yield (
             entropy_sum - strongest,
             TOL_SUITE,
             lambda i: f"trial={idx[i]} theta={theta[i]:.3f} alpha={alpha[i]:.3f} beta={beta[i]:.3f}",
         )
-    return result
 
 
-def suite_coles(trials: int = 500, seed: int = 0) -> SuiteResult:
+def suite_coles(trials: int, rng):
     """Entropy sums dominate -log2 C for unstructured random POVM pairs."""
-    result = SuiteResult("coles", trials, seed)
-    rng = np.random.default_rng(seed)
     dims = rng.integers(2, 4, size=trials)
     n_a = rng.integers(2, 5, size=trials)
     n_b = rng.integers(2, 5, size=trials)
     for d, idx, a, b, rho in _povm_pairs(trials, rng, dims, n_a, n_b):
         entropy_sum = shannon_entropy(outcome_probs(rho, a)) + shannon_entropy(outcome_probs(rho, b))
-        result.record(entropy_sum - coles_bound(a, b), TOL_SUITE, lambda i: f"trial={idx[i]} d={d}")
-    return result
+        yield entropy_sum - coles_bound(a, b), TOL_SUITE, lambda i: f"trial={idx[i]} d={d}"
 
 
-def suite_dualmap(trials: int = 200, seed: int = 0) -> SuiteResult:
+def suite_dualmap(trials: int, rng):
     """Noisy-state and noisy-measurement outcome probabilities coincide."""
-    result = SuiteResult("dualmap", trials, seed)
-    rng = np.random.default_rng(seed)
     dims = rng.integers(2, 5, size=trials)
     alphas = rng.uniform(size=trials)
     for (d,), idx in _groups(trials, dims):
@@ -314,12 +295,11 @@ def suite_dualmap(trials: int = 200, seed: int = 0) -> SuiteResult:
         rho_noisy = a * pure + (1 - a) * np.eye(d) / d
         noisy_probs = np.einsum("...ni,...ij,...nj->...n", basis.conj(), rho_noisy, basis).real
         sharp_probs = outcome_probs(pure, white_noise_povm(basis, alpha))
-        result.record(
+        yield (
             -abs(noisy_probs - sharp_probs).max(axis=-1),
             TOL_SUITE_IDENTITY,
             lambda i: f"trial={idx[i]} d={d} alpha={alpha[i]:.3f}",
         )
-    return result
 
 
 SUITES = {
@@ -343,4 +323,7 @@ def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
         raise ConfigError(f"at most {MAX_TRIALS} trials, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return SUITES[name](trials=trials, seed=seed)
+    result = SuiteResult(name, trials, seed)
+    for slack, tol, label in SUITES[name](trials, np.random.default_rng(seed)):
+        result.record(slack, tol, label)
+    return result

@@ -18,13 +18,7 @@ from unsharp.bounds import (
 )
 from unsharp.povm import amplitude_damping_povm, mub_fourier_basis, white_noise_povm
 from unsharp.sampling import random_pure_state
-from unsharp.suites import (
-    suite_chain,
-    suite_convexity,
-    suite_majorization,
-    suite_validity,
-    suite_whitenoise,
-)
+from unsharp.suites import run_suite
 from unsharp.sweeps import SweepConfig, run_sweep, spin_basis
 from unsharp.uncertainty import binary_entropy, device_uncertainty
 
@@ -136,7 +130,7 @@ def test_criterion_04_sharp_angle_sweep(report):
 def test_criterion_05_bound_chain(report):
     failures = []
     start = time.perf_counter()
-    result = suite_chain(trials=1000, seed=1234)
+    result = run_suite("chain", 1000, 1234)
     elapsed = time.perf_counter() - start
     if not result.passed:
         failures.append(f"{result.failures} chain violations, worst slack {result.worst_slack:.3e}")
@@ -149,7 +143,7 @@ def test_criterion_05_bound_chain(report):
 
 def test_criterion_06_majorization(report):
     failures = []
-    result = suite_majorization(trials=500, seed=1234)
+    result = run_suite("majorization", 500, 1234)
     if not result.passed:
         failures.append(f"{result.failures} majorization violations, worst slack {result.worst_slack:.3e}")
     report(6, f"direct-sum majorization and H(W) on 500 trials per d in 2,3: worst slack {result.worst_slack:.2e}", failures)
@@ -157,7 +151,7 @@ def test_criterion_06_majorization(report):
 
 def test_criterion_07_convex_identities(report):
     failures = []
-    result = suite_convexity(trials=200, seed=1234)
+    result = run_suite("convexity", 200, 1234)
     if not result.passed:
         failures.append(f"{result.failures} identity violations, worst deviation {-result.worst_slack:.3e}")
     report(7, f"mixture identities on 200 random triples: worst deviation {-result.worst_slack:.2e} <= 1e-12", failures)
@@ -165,7 +159,7 @@ def test_criterion_07_convex_identities(report):
 
 def test_criterion_08_white_noise_closed_form(report):
     failures = []
-    result = suite_whitenoise(trials=100, seed=1234)
+    result = run_suite("whitenoise", 100, 1234)
     if not result.passed:
         failures.append(f"{result.failures} white-noise deviations, worst {-result.worst_slack:.3e}")
     if result.checks != 5 * 11:
@@ -192,7 +186,7 @@ def test_criterion_08_white_noise_closed_form(report):
 
 def test_criterion_09_pair_bound_validity(report):
     failures = []
-    result = suite_validity(trials=500, seed=1234)
+    result = run_suite("validity", 500, 1234)
     if not result.passed:
         failures.append(f"{result.failures} validity violations, worst slack {result.worst_slack:.3e}")
     report(9, f"H(A)+H(B) >= max(B1, B2, -log2 C) on 500 white-noise scenarios: worst slack {result.worst_slack:.2e}", failures)

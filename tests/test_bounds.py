@@ -32,7 +32,7 @@ from unsharp.povm import (
 )
 from unsharp.sampling import random_basis, random_mixed_state, random_pure_state, random_povm, sampled_min
 from unsharp.serialize import load_povm, load_state, povm_to_json, state_to_json
-from unsharp.suites import suite_coles, suite_majorization, suite_validity
+from unsharp.suites import run_suite
 from unsharp.sweeps import spin_basis
 from unsharp.uncertainty import (
     binary_entropy,
@@ -125,6 +125,10 @@ class TestWhiteNoiseClosedForm:
     def test_half(self):
         assert device_uncertainty_white_noise(0.5, 2) == pytest.approx(0.811278, abs=1e-6)
 
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="need d >= 1, got 0"):
+            device_uncertainty_white_noise(0.5, 0)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_monotone_decreasing(self, d):
         grid = np.linspace(0.0, 1.0, 51)
@@ -164,7 +168,7 @@ class TestColesBound:
             coles_bound(projective_from_basis(np.eye(2)), projective_from_basis(np.eye(3)))
 
     def test_validity_on_random_povms(self):
-        result = suite_coles(trials=500, seed=23)
+        result = run_suite("coles", 500, 23)
         assert result.passed, result.messages
 
 
@@ -519,7 +523,7 @@ class TestQwB2Bound:
             assert b2 >= shannon_entropy(majorization_vector(basis_a, basis_b)[1]) - 1e-9
 
     def test_validity_suite(self):
-        result = suite_validity(trials=300, seed=29)
+        result = run_suite("validity", 300, 29)
         assert result.passed, result.messages
 
 
@@ -582,7 +586,7 @@ class TestAdColesClosedForm:
 
 class TestMajorizationRelations:
     def test_direct_sum_suite(self):
-        result = suite_majorization(trials=200, seed=31)
+        result = run_suite("majorization", 200, 31)
         assert result.passed, result.messages
 
 
@@ -614,6 +618,21 @@ class TestPairBoundReport:
             entropy_sum = report["values"]["H_A"] + report["values"]["H_B"]
             for key in ("krishna_A", "krishna_B", "minD_A", "minD_B", "minD_pair", "coles_C"):
                 assert report["values"][key] <= entropy_sum + 1e-9
+
+    def test_stacked_povms_raise(self):
+        # A stack of projective POVMs is one pair per row, not one pair.
+        rng = np.random.default_rng(22)
+        stack = projective_from_basis(random_basis(3, rng, size=3))
+        single = projective_from_basis(random_basis(3, rng))
+        for a, b, name in ((stack, single, "A"), (single, stack, "B"), (stack, stack, "A")):
+            with pytest.raises(ValueError, match=rf"one pair per call: POVM {name} is a stack of shape \(3,\)"):
+                pair_bound_report(a, b)
+
+    def test_stacked_state_raises(self):
+        rng = np.random.default_rng(23)
+        a, b = (projective_from_basis(random_basis(3, rng)) for _ in range(2))
+        with pytest.raises(ValueError, match=r"got shape \(4, 3, 3\)"):
+            pair_bound_report(a, b, random_mixed_state(3, rng, size=4))
 
     def test_cli_prints_the_report(self, tmp_path, capsys):
         # `unsharp bounds` prints the report dict itself, on a projective pair
@@ -786,7 +805,7 @@ class TestBasisPairBounds:
     def test_one_overlap_matrix_per_validity_block(self, monkeypatch):
         overlap_calls = count_calls(monkeypatch, "_overlaps")
         trials = 2 * suites.BLOCK + 1
-        assert suite_validity(trials=trials, seed=45).passed
+        assert run_suite("validity", trials, 45).passed
         assert len(overlap_calls) == 3
 
     def test_keys(self):

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unsharp.bounds import MAX_MAJORIZATION_DIM
-from unsharp import cli
+from unsharp import bounds, cli, uncertainty
 from unsharp.cli import main
 from unsharp.linalg import validate_density
 from unsharp.povm import Povm, mub_fourier_basis, projective_from_basis, white_noise_povm
@@ -116,6 +117,24 @@ class TestAnalyze:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].split(",") == ["dim", "H", "D", "Q", "krishna", "minD"]
         assert len(lines) == 2
+
+    def test_each_quantity_formed_once(self, files, monkeypatch):
+        counts = dict.fromkeys(("device_uncertainty_operator", "outcome_probs"), 0)
+        # Counted in every module that holds them, so that a call through any one shows.
+        for module, name in product((bounds, uncertainty, cli), counts):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counting(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        for fmt in ("json", "csv"):
+            counts.update(dict.fromkeys(counts, 0))
+            assert main(["analyze", files["wn_half"], "--state", files["mixed"], "--format", fmt]) == 0
+            assert counts == {"device_uncertainty_operator": 1, "outcome_probs": 1}
 
     def test_dimension_mismatch_exits_one(self, files, capsys):
         basis_x3, _ = mub_fourier_basis(3)
@@ -294,6 +313,18 @@ class TestInputBoundary:
         assert key in run(["sweep-theta", "--config", str(path)])
         assert not (files["tmp"] / "t.csv").exists()
 
+    def test_config_array(self, files, run):
+        path = files["tmp"] / "list.json"
+        path.write_text(json.dumps([{"steps": 5}]))
+        out = files["tmp"] / "d.csv"
+        assert "must contain a JSON object" in run(["sweep-damping", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_empty_grid(self, files, run):
+        out = files["tmp"] / "e.csv"
+        assert "empty grid" in run(["sweep-damping", "--start", "0.3", "--stop", "0.3", "--out", str(out)])
+        assert not out.exists()
+
     def test_deeply_nested_config(self, files, run):
         path = files["tmp"] / "deep.json"
         path.write_text("[" * 100_000)
@@ -367,7 +398,7 @@ class TestInputBoundary:
         # The cap is checked before the suite runs: a stand-in suite records
         # the calls, so no trial is drawn at these sizes.
         calls = []
-        monkeypatch.setitem(suites.SUITES, "convexity", lambda trials, seed: calls.append(trials))
+        monkeypatch.setitem(suites.SUITES, "convexity", lambda trials, rng: calls.append(trials) or ())
         for trials in (MAX_TRIALS + 1, 10**13):
             assert f"at most {MAX_TRIALS} trials" in run(["verify", "--suite", "convexity", "--trials", str(trials)])
         assert calls == []
@@ -480,6 +511,16 @@ class TestVerify:
     def test_unknown_suite_exits_two(self, capsys):
         assert main(["verify", "--suite", "nonsense", "--trials", "10"]) == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_failing_suite_exits_one(self, capsys, monkeypatch):
+        # A tolerance of -10 asks for slack >= 10, so all 48 checks fail; 20 are printed.
+        monkeypatch.setattr(suites, "TOL_SUITE", -10.0)
+        assert main(["verify", "--suite", "chain", "--trials", "4", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert re.match(r"^suite=chain .* checks=48 failures=48 .* FAIL$", lines[0])
+        assert len(lines) == 2 + suites.MAX_MESSAGES
+        for line in lines[2:]:
+            assert re.match(r"^  d=[234] trial=\d+ \S+: slack \S+ < --1\.0e\+01$", line)
 
     def test_zero_trials_exits_two(self):
         assert main(["verify", "--suite", "chain", "--trials", "0"]) == 2

@@ -79,6 +79,15 @@ class TestValidateDensity:
         with pytest.raises(TraceNotOne):
             validate_density(np.diag([0.6, 0.6]))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_wrongly_shaped_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            validate_density(np.ones(shape))
+
+    def test_pure_state_needs_a_vector(self):
+        with pytest.raises(ValueError, match=r"expected a vector, got shape \(2, 2\)"):
+            pure_state_density(np.eye(2) / np.sqrt(2))
+
     def test_negative_eigenvalue(self):
         with pytest.raises(NotPositive):
             validate_density(np.diag([1.2, -0.2]))

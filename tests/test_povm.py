@@ -46,6 +46,10 @@ class TestMakePovm:
         with pytest.raises(CompletenessViolated):
             Povm([np.eye(2), np.eye(2)])
 
+    def test_no_effects(self):
+        with pytest.raises(ValidationError, match="at least one effect"):
+            Povm(np.zeros((0, 2, 2)))
+
     def test_not_positive(self):
         with pytest.raises(NotPositive):
             Povm([np.diag([-0.2, 0.2]), np.diag([1.2, 0.8])])
@@ -137,6 +141,10 @@ class TestQubitPovm:
         # sharp case has conditional probability p(up|+) = 1
         assert QubitPovmParams(1.0, np.array([0.0, 0.0, 1.0])).conditional_prob_up(+1) == 1.0
 
+    def test_two_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"3-vector, got shape \(2,\)"):
+            QubitPovmParams(a0=1.0, a_vec=np.array([0.0, 1.0]))
+
     def test_zero_bloch_vector(self):
         povm = qubit_povm(QubitPovmParams(a0=1.0, a_vec=np.zeros(3)))
         np.testing.assert_allclose(povm.effects[0], np.eye(2) / 2, atol=1e-15)
@@ -177,6 +185,11 @@ class TestWhiteNoisePovm:
         np.testing.assert_allclose(
             white_noise_povm(basis, 1.0).effects, projective_from_basis(basis).effects, atol=1e-15
         )
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_wrongly_shaped_basis(self, shape):
+        with pytest.raises(ValueError, match="expected d vectors of length d"):
+            white_noise_povm(np.ones(shape), 0.5)
 
     def test_fully_mixed(self):
         povm = white_noise_povm(np.eye(2), 0.0)

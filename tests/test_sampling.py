@@ -38,6 +38,16 @@ class TestDeterminism:
         assert not np.array_equal(first, second)
 
 
+@pytest.mark.parametrize(
+    "sample",
+    [random_state_vector, random_basis, lambda d, rng: random_povm(d, 2, rng)],
+    ids=["state_vector", "basis", "povm"],
+)
+def test_dimension_one_rejected(sample):
+    with pytest.raises(ValueError, match="need d >= 2, got 1"):
+        sample(1, np.random.default_rng(0))
+
+
 class TestRandomPureState:
     def test_unit_trace_and_purity(self):
         rng = np.random.default_rng(7)

@@ -42,7 +42,7 @@ from unsharp.sampling import (
     random_state_vector,
     sampled_min,
 )
-from unsharp.suites import SuiteResult, suite_chain
+from unsharp.suites import SuiteResult, run_suite
 from unsharp.sweeps import spin_basis
 from unsharp.uncertainty import (
     binary_entropy,
@@ -522,7 +522,7 @@ class TestSuiteResult:
             post_init(self)
 
         monkeypatch.setattr(Povm, "__post_init__", counting)
-        result = suite_chain(trials=40, seed=5)
+        result = run_suite("chain", 40, 5)
         assert result.checks == 3 * 4 * 40 and result.passed
         # at most one stack per (d, n): n in 2..d+1 for d = 2, 3, 4
         assert len(constructed) <= 2 + 3 + 4
@@ -557,7 +557,7 @@ class TestSuiteCallStructure:
     def test_coles_draws_once_per_outcome_count(self, monkeypatch):
         draws = count_calls(monkeypatch, "random_povm", suites)
         pair_bounds = count_calls(monkeypatch, "coles_bound", suites)
-        result = suites.suite_coles(290, 3)
+        result = suites.run_suite("coles", 290, 3)
         assert result.checks == 290 and result.passed
         # d = 2, 3, one block each: 3 outcome counts per family, 3 x 3 groups.
         assert len(draws) == 2 * 2 * 3
@@ -565,7 +565,7 @@ class TestSuiteCallStructure:
 
     def test_convexity_draws_once_per_outcome_count(self, monkeypatch):
         draws = count_calls(monkeypatch, "random_povm", suites)
-        result = suites.suite_convexity(170, 3)
+        result = suites.run_suite("convexity", 170, 3)
         assert result.checks == 2 * 170 and result.passed
         assert len(draws) == 2 * 2 * 2
 
@@ -589,7 +589,7 @@ class TestSuiteCallStructure:
     def test_chain_forms_one_device_uncertainty_operator_per_group(self, monkeypatch):
         operators = count_calls(monkeypatch, "device_uncertainty_operator", suites, bounds, uncertainty)
         draws = count_calls(monkeypatch, "random_povm", suites)
-        result = suites.suite_chain(130, 3)
+        result = suites.run_suite("chain", 130, 3)
         assert result.checks == 3 * 4 * 130 and result.passed
         assert len(operators) == len(draws) == 2 + 3 + 4
 

@@ -14,7 +14,7 @@ from unsharp.povm import (
     white_noise_povm,
 )
 from unsharp.sampling import random_basis, random_mixed_state, random_povm, random_pure_state, random_state_vector
-from unsharp.suites import suite_chain, suite_convexity, suite_dualmap
+from unsharp.suites import run_suite
 from unsharp.uncertainty import (
     binary_entropy,
     device_uncertainty,
@@ -297,7 +297,7 @@ class TestWhiteNoiseKernel:
 
 class TestEntropyChain:
     def test_entropy_dominates_device_uncertainty(self):
-        result = suite_chain(trials=1000, seed=42)
+        result = run_suite("chain", 1000, 42)
         assert result.passed, result.messages
         assert result.checks == 12000
 
@@ -353,7 +353,7 @@ class TestConvexIdentities:
             assert quantum_uncertainty(rho, convex_combination(povm, povm, p)) == pytest.approx(q, abs=1e-12)
 
     def test_suite(self):
-        result = suite_convexity(trials=200, seed=11)
+        result = run_suite("convexity", 200, 11)
         assert result.passed, result.messages
 
 
@@ -388,5 +388,5 @@ class TestDegeneracyIndependence:
 
 class TestDualMap:
     def test_noisy_state_equals_noisy_measurement(self):
-        result = suite_dualmap(trials=200, seed=19)
+        result = run_suite("dualmap", 200, 19)
         assert result.passed, result.messages
